@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ExperimentConfig, KeyConfig
 from ..errors import ConfigError
+from ..keys.revocation import RevocationEvent
 
 
 @dataclass
@@ -87,7 +88,13 @@ def revocation_sweep(
         for fraction in fractions:
             target = math.ceil(fraction * pool_size)
             while revoked_so_far < target:
-                revocation._apply_key(order[revoked_so_far], exposed=False)
+                index = order[revoked_so_far]
+                # Unexposed (no θ accounting), but logged: the network's
+                # secure-topology view replays the revocation log.
+                revocation._apply_key(index, exposed=False)
+                revocation.log.append(
+                    RevocationEvent(kind="key", target=index, reason="connectivity-sweep")
+                )
                 revoked_so_far += 1
             component = deployment.network.honest_secure_component()
             connected_sensors = len(component) - 1  # minus the BS

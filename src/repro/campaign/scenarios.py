@@ -274,7 +274,7 @@ def scale_scenario(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
     """Zero-tolerance anchor for the large-topology optimization layer.
 
     Runs :func:`repro.perf.scale.reference_equality` on the issue's
-    100-node reference cell: the cache-disabled leg and a cold-started
+    100-node reference cell: a cache-bypassed leg and a cold-started
     warm leg must agree byte-for-byte on ``Metrics.to_dict()``.  Every
     returned number is deterministic in (params, seed), so campaign
     store diffs gate this cell at zero tolerance — any observable drift

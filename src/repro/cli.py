@@ -821,9 +821,9 @@ def _add_bench_parser(sub) -> None:
     p.add_argument("--output", type=str, default=None, metavar="BENCH_perf.json",
                    help="write the JSON payload here")
     p.add_argument("--compare", type=str, default=None, metavar="BASELINE.json",
-                   help="gate speedup ratios against a recorded payload")
+                   help="gate micro speedup ratios and e2e bit-identity against a recorded payload")
     p.add_argument("--threshold", type=float, default=0.5,
-                   help="max tolerated relative speedup drop (default 0.5)")
+                   help="max tolerated relative micro speedup drop (default 0.5)")
     p.add_argument("--profile", action="store_true",
                    help="cProfile the optimized e2e cells (off = zero overhead)")
     p.add_argument("--top", type=int, default=15,
@@ -841,9 +841,9 @@ def _add_bench_parser(sub) -> None:
     scale.add_argument("--output", type=str, default=None, metavar="BENCH_scale.json",
                        help="write the JSON payload here")
     scale.add_argument("--compare", type=str, default=None, metavar="BASELINE.json",
-                       help="gate speedup ratios against a recorded payload")
+                       help="gate bytes/node and bit-identity against a recorded payload")
     scale.add_argument("--threshold", type=float, default=0.5,
-                       help="max tolerated relative speedup drop (default 0.5)")
+                       help="max tolerated relative bytes/node growth (default 0.5)")
     scale.add_argument("--quiet", action="store_true",
                        help="suppress per-cell progress lines")
     scale.set_defaults(func=cmd_bench, bench_command="scale")

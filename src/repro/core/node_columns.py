@@ -10,33 +10,24 @@ station, is simply unused):
 
 * ``reading`` — ``float64`` (readings are floats everywhere; the
   protocol driver coerces with ``float()`` before installing them);
-* ``level`` — ``int32``, ``-1`` encoding the reference ``None``;
+* ``level`` — ``int32``, ``-1`` encoding a ``None`` level;
 * ``forwarded_veto`` / ``forwarded_beacon`` / ``crash_suspected`` —
   boolean columns.
 
-:class:`~repro.net.node.ColumnNode` exposes each column cell through
-properties with the exact types the reference attributes carry (Python
-``float``/``int``/``bool``/``None``), so every phase loop, adversary
-hook, fault injector and service driver reads and writes node state
-unchanged — the hybrid kernel's row views are these thin property
-wrappers, not copies.  Containers that are per-node but not scalar
-(``parents``, ``query_values``, the audit trail) stay object slots on
-the node views; the tree phase already arenas ``parents`` during its
-hot loop (:class:`~repro.core.phase_state.TreeColumns`).
-
-Nothing here is consulted by the reference path: networks built while
-caching is disabled (or without numpy) construct plain
-:class:`~repro.net.node.HonestNode` objects and never allocate columns.
+:class:`~repro.net.node.HonestNode` exposes each column cell through
+properties with plain Python types (``float``/``int``/``bool``/
+``None``), so every phase loop, adversary hook, fault injector and
+service driver reads and writes node state as attributes — the
+kernel's row views are these thin property wrappers, not copies.
+Containers that are per-node but not scalar (``parents``,
+``query_values``, the audit trail) stay object slots on the node
+views; the tree phase already arenas ``parents`` during its hot loop
+(:class:`~repro.core.phase_state.TreeColumns`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy baked into the toolchain
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 class NodeColumns:
@@ -56,10 +47,3 @@ class NodeColumns:
         self.forwarded_veto = np.zeros(num_ids, dtype=bool)
         self.forwarded_beacon = np.zeros(num_ids, dtype=bool)
         self.crash_suspected = np.zeros(num_ids, dtype=bool)
-
-
-def make_node_columns(num_ids: int) -> Optional[NodeColumns]:
-    """Columns for ``num_ids`` node ids, or ``None`` without numpy."""
-    if np is None:
-        return None
-    return NodeColumns(num_ids)

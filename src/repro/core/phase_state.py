@@ -1,81 +1,48 @@
 """Struct-of-arrays state for the interval hot loops.
 
-The reference phase loops in :mod:`repro.core.tree`,
+The phase loops in :mod:`repro.core.tree`,
 :mod:`repro.core.aggregation` and :mod:`repro.core.confirmation` keep
-per-node phase state in Python containers — a ``pending_forward`` dict
-of beacons, ``send_slot``/``listen_slot`` dicts of id lists, a ``best``
-dict of message lists, per-node ``parents`` lists.  At 100k nodes those
-containers dominate the interval loop's allocation churn.  This module
-holds the same state as flat columns:
+their per-node phase state in flat columns rather than per-node Python
+containers, which at 100k nodes would dominate the interval loop's
+allocation churn:
 
 * :class:`TreeColumns` — level as one ``int32`` array, parents in a
   shared ``array('i')`` arena addressed by per-node (start, length)
-  cursors, the forward schedule as a plain id list;
+  cursors, the forward schedule as a plain list;
 * :class:`SlotSchedule` — participants grouped by level with one stable
   argsort, best-so-far rows addressed positionally;
 * :class:`VetoSchedule` — forwarded flags as one boolean array, the
   pending vetoes as parallel lists.
 
-**Bit-identity contract.**  Every column structure reproduces the
-reference containers' *orders* exactly: stable argsort grouping keeps
-ascending participant order within a level group (the reference sorts
-its slot lists), and the append-only schedules replay dict insertion
-order (the reference visits arrivals ascending, so its dicts are
-inserted — and iterated — ascending too).
+**Order contract.**  Deposit and visit order is protocol semantics
+(honest logic adopts the first verified beacon/veto in inbox order), so
+every structure fixes its order explicitly: stable argsort grouping
+keeps ascending participant order within a level group, and the
+append-only schedules replay ascending arrival-visit order.
+``tests/golden_digests.json`` pins the resulting trace streams and
+metrics.
 
-**Hybrid kernel.**  The column paths cover inline runs — honest *and*
-adversarial (:func:`columns_enabled`).  Adversary hooks never touch the
-columns: malicious state lives in per-node
-:class:`~repro.adversary.base.MaliciousNodeState` rows and every
-injection goes through the transport, which both paths share, so the
-honest majority stays columnar while adversary-adjacent traffic
-materializes row views on read.  Tracer attachment likewise stays on
-the columns: the transmit fast path emits the identical trace event
-from scalars (see ``PhaseContext._transmit_one``).  Only a service
-driver (node state lives on host processes) or the global cache-disable
-switch routes the phase through the untouched reference loops.
+**Hybrid kernel.**  Honest *and* adversarial inline runs use the
+columns.  Adversary hooks never touch them: malicious state lives in
+per-node :class:`~repro.adversary.base.MaliciousNodeState` rows and
+every injection goes through the transport, so the honest majority
+stays columnar while adversary-adjacent traffic materializes row views
+on read.  A tracer rides along too: the transmit path emits each trace
+event from scalars (see ``PhaseContext._transmit_one``).  The only
+other route through a phase is a service driver, whose node state lives
+on host processes.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy baked into the toolchain
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..errors import ProtocolError
-from ..perf.cache import caching_enabled
 
 _EMPTY: Tuple[int, ...] = ()
-
-
-def columns_enabled(network, adversary) -> bool:
-    """Whether a phase may run its interval loop over column state.
-
-    Column loops cover every inline configuration — honest *or*
-    attacked, traced or not.  Adversary hooks mutate only their own
-    :class:`~repro.adversary.base.MaliciousNodeState` rows and inject
-    through the shared transport, and the column branches replay the
-    reference arrival/visit order exactly, so attacked runs stay
-    bit-identical on the columns (``tests/test_soa.py`` pins this per
-    zoo strategy).  A tracer no longer disengages either: the transmit
-    fast path emits the identical trace event from scalars.  Only a
-    service driver (node state lives on host processes, not in this
-    process's arrays) or the cache-disable switch — the documented
-    escape hatch — routes the phase through the reference loops.
-
-    ``adversary`` is accepted (and ignored) so call sites read as
-    "may *this* run use columns" and future gating has its hook.
-    """
-    del adversary  # adversarial runs coexist with the columns
-    return (
-        np is not None
-        and network.honest_driver is None
-        and caching_enabled()
-    )
 
 
 def node_id_bound(network) -> int:
@@ -84,45 +51,60 @@ def node_id_bound(network) -> int:
 
 
 class TreeColumns:
-    """Tree-formation state: level column + parents arena + forward list."""
+    """Tree-formation state: level column + parents arena + forward list.
 
-    __slots__ = ("depth_bound", "multipath", "level", "parents_arena",
-                 "parents_start", "parents_len", "pending")
+    Serves both level rules of :mod:`repro.core.tree`: VMAT's timestamp
+    rule (level = arrival interval) and the naive hop-count rule (level
+    = the hop count claimed inside the first beacon).
+    """
 
-    def __init__(self, num_ids: int, depth_bound: int, multipath: bool) -> None:
+    __slots__ = ("depth_bound", "multipath", "hopcount", "level",
+                 "parents_arena", "parents_start", "parents_len", "pending")
+
+    def __init__(
+        self, num_ids: int, depth_bound: int, multipath: bool, variant: str
+    ) -> None:
         self.depth_bound = depth_bound
         self.multipath = multipath
+        self.hopcount = variant == "hopcount"
         self.level = np.full(num_ids, -1, dtype=np.int32)
         self.parents_arena = array("i")
         self.parents_start = np.zeros(num_ids, dtype=np.int64)
+        # Zero until a node accepts a beacon (it then has >= 1 parent).
         self.parents_len = np.zeros(num_ids, dtype=np.int32)
-        # Sensors that accepted this interval and forward in the next;
-        # appended in arrival-visit order = the reference dict's
-        # insertion (and hence send) order.
-        self.pending: List[int] = []
+        # (sensor, hop count) pairs that accepted this interval and
+        # forward in the next, in arrival-visit order.
+        self.pending: List[Tuple[int, int]] = []
 
     def accept(self, node_id: int, beacons, interval: int) -> None:
-        """The timestamp rule over columns (``_accept_timestamp``).
-
-        A node is visited at most once per interval, so the reference's
-        extra-parents branch (same-interval re-visit) is unreachable and
-        a set level means "ignore".
-        """
-        if self.level[node_id] != -1:
+        """One node's first verified beacons: set level and parents and
+        schedule the forward.  Later beacons are ignored (a node is
+        visited at most once per interval, so under the timestamp rule
+        no same-interval parents can arrive after acceptance)."""
+        if self.parents_len[node_id]:
             return
-        self.level[node_id] = interval
-        if self.multipath:
-            parents = sorted({d.sender for d in beacons})
+        first = beacons[0]
+        if self.hopcount:
+            # The adversary can inflate the claimed hop count past L; the
+            # victim forwards anyway — it learns its level is unusable
+            # only when it tries to pick an aggregation slot.
+            level = first.payload.hop_count
+            senders = {d.sender for d in beacons if d.payload.hop_count == level}
+            forward = True
         else:
-            parents = [beacons[0].sender]
+            level = interval
+            senders = {d.sender for d in beacons}
+            forward = interval + 1 <= self.depth_bound
+        parents = sorted(senders) if self.multipath else [first.sender]
+        self.level[node_id] = level
         self.parents_start[node_id] = len(self.parents_arena)
         self.parents_len[node_id] = len(parents)
         self.parents_arena.extend(parents)
-        if interval + 1 <= self.depth_bound:
-            self.pending.append(node_id)
+        if forward:
+            self.pending.append((node_id, level + 1))
 
-    def take_pending(self) -> List[int]:
-        """Drain the forward schedule (the reference's dict-and-delete)."""
+    def take_pending(self) -> List[Tuple[int, int]]:
+        """Drain the forward schedule."""
         pending = self.pending
         self.pending = []
         return pending
@@ -130,8 +112,9 @@ class TreeColumns:
     def install(self, network, honest_ids, result) -> None:
         """Write levels/parents back onto nodes and into ``result``.
 
-        Timestamp levels are always in ``[1, depth_bound]``, so a set
-        level is always valid; ``-1`` is the reference's ``None``.
+        A sensor without a level in ``[1, depth_bound]`` — it heard no
+        beacon, or (hop-count rule) it adopted an inflated claim — is
+        invalid and gets no level or parents.
         """
         level = self.level
         arena = self.parents_arena
@@ -140,19 +123,22 @@ class TreeColumns:
         depth_bound = self.depth_bound
         for node_id in honest_ids:
             node = network.nodes[node_id]
+            count = int(length[node_id])
             lv = int(level[node_id])
-            if lv != -1:
+            if count and 1 <= lv <= depth_bound:
                 begin = int(start[node_id])
-                parents = arena[begin:begin + int(length[node_id])].tolist()
+                parents = arena[begin:begin + count].tolist()
                 node.level = lv
                 node.parents = parents
-                node.forwarded_beacon = lv + 1 <= depth_bound
                 result.levels[node_id] = lv
                 result.parents[node_id] = list(parents)
             else:
                 result.invalid_level_sensors.add(node_id)
                 node.level = None
                 node.parents = []
+            node.forwarded_beacon = bool(count) and (
+                self.hopcount or lv + 1 <= depth_bound
+            )
 
 
 class SlotSchedule:
@@ -161,9 +147,8 @@ class SlotSchedule:
     ``ids`` keeps participants as Python ints (deployment order, i.e.
     ascending); ``best`` holds each participant's best-so-far messages
     addressed by position.  A level group's positions ascend with
-    participant order, which is exactly the reference's
-    ``sorted(send_slot[k])`` send order and ``listen_slot[k]`` listen
-    order.
+    participant order, so each interval's senders transmit, and its
+    listeners collect, in ascending id order.
     """
 
     __slots__ = ("ids", "best", "_groups")
@@ -205,10 +190,9 @@ class SlotSchedule:
 class VetoSchedule:
     """SOF state: forwarded flags as one bool column + pending lists.
 
-    The pending lists replay the reference's ``sorted(pending.items())``
-    order for free: the initial vetoer scan and each interval's arrival
-    scan both visit ascending ids, and the schedule is fully drained
-    every interval, so appends are always already sorted.
+    The pending lists are always in ascending id order: the initial
+    vetoer scan and each interval's arrival scan both visit ascending
+    ids, and the schedule is fully drained every interval.
     """
 
     __slots__ = ("forwarded", "_ids", "_vetoes")

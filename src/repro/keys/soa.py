@@ -21,10 +21,9 @@ Everything here is a *storage* change, not a semantics change: rows hold
 exactly the indices :func:`repro.crypto.prf.sample_distinct_indices`
 draws, intersections return exactly the tuples the frozenset path
 returns, and the revocation subclass overrides only the storage hooks of
-the shared algorithm, so event logs match entry for entry.  The object
-path remains the build default whenever the perf layer is disabled
-(``repro.perf.cache``), which is how the bit-identity tests compare the
-two.
+the shared algorithm, so event logs match entry for entry
+(``tests/test_soa.py`` compares both against the per-object rings and
+the dict revocation backend, which explicit-ring schemes still use).
 """
 
 from __future__ import annotations

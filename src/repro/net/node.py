@@ -23,12 +23,15 @@ for the queries of Figures 5 and 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..crypto.authenticated_broadcast import BroadcastVerifier
 from ..keys.registry import SensorKeyMaterial
 from ..sim.clock import LocalClock
 from .message import ReadingMessage, VetoMessage, message_digest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.node_columns import NodeColumns
 
 
 @dataclass(frozen=True)
@@ -178,18 +181,21 @@ class AuditStore:
         )
 
 
-class _NodeCore:
-    """State and behaviour shared by both honest-node representations.
+class HonestNode:
+    """Runtime state of one honest sensor.
 
-    The scalar phase state (reading, level, the one-time flags, the
-    crash flag) deliberately has **no** storage here: the object-path
-    subclass keeps it in slots, the column-kernel subclass in
-    :class:`~repro.core.node_columns.NodeColumns` cells behind
-    properties.  ``__init__`` and ``begin_execution`` assign through
-    whichever the concrete class provides.
+    The five per-node scalars (reading, tree level, the two one-time
+    forward flags, the crash-suspected flag) live in the network's
+    shared :class:`~repro.core.node_columns.NodeColumns` arrays behind
+    properties that return plain Python types (``float``/``int``/
+    ``bool``, with ``-1`` decoding to a ``None`` level), so a million
+    nodes cost five array cells each instead of five boxed attributes.
+    Containers that are per-node but not scalar (``parents``,
+    ``query_values``, the audit trail) are ordinary slots.
     """
 
     __slots__ = (
+        "_columns",
         "node_id",
         "material",
         "clock",
@@ -205,8 +211,12 @@ class _NodeCore:
         material: SensorKeyMaterial,
         clock: LocalClock,
         broadcast_anchor: bytes,
+        columns: "NodeColumns",
         reading: float = 0.0,
     ) -> None:
+        # Set first: the scalar assignments below route through the
+        # column-backed properties.
+        self._columns = columns
         self.node_id = node_id
         self.material = material
         self.clock = clock
@@ -218,7 +228,7 @@ class _NodeCore:
         self.query_values: Optional[List[float]] = None
         self.audit = AuditStore()
         # Tree state (set during tree formation each execution)
-        self.level: Optional[int] = None
+        self.level = None
         self.parents: List[int] = []
         # SOF one-time flag
         self.forwarded_veto = False
@@ -265,47 +275,6 @@ class _NodeCore:
             f"{type(self).__name__}(id={self.node_id}, "
             f"level={self.level}, reading={self.reading})"
         )
-
-
-class HonestNode(_NodeCore):
-    """Runtime state of one honest sensor (object-path representation)."""
-
-    __slots__ = (
-        "reading",
-        "level",
-        "forwarded_veto",
-        "forwarded_beacon",
-        "crash_suspected",
-    )
-
-
-class ColumnNode(_NodeCore):
-    """Honest-node view over shared :class:`NodeColumns` cells.
-
-    Behaviourally identical to :class:`HonestNode` — every reader gets
-    the exact reference types back (``float``/``int``/``bool``, with
-    ``-1`` decoding to the reference's ``None`` level) — but the five
-    per-node scalars live in the network's parallel arrays, so a
-    million node views cost five array cells each instead of five boxed
-    attributes.  Built by :class:`~repro.net.network.Network` when the
-    column kernel is active at construction time.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(
-        self,
-        node_id: int,
-        material: SensorKeyMaterial,
-        clock: LocalClock,
-        broadcast_anchor: bytes,
-        columns,
-        reading: float = 0.0,
-    ) -> None:
-        # Set before super().__init__ — the base constructor assigns the
-        # scalars, which route through the properties below.
-        self._columns = columns
-        super().__init__(node_id, material, clock, broadcast_anchor, reading)
 
     @property
     def reading(self) -> float:

@@ -1,7 +1,7 @@
 """Struct-of-arrays frame store for the interval hot path.
 
-:class:`SimTransport` keeps one Python list of :class:`Delivery` objects
-per (interval, receiver) — at 100k nodes that is hundreds of thousands
+:class:`~repro.net.transport.SimTransport` keeps one Python list of
+:class:`Delivery` objects per (interval, receiver) — at 100k nodes that is hundreds of thousands
 of lists and millions of object headers per phase.  :class:`SoATransport`
 stores the same frames as four flat append-only columns per interval
 (receiver id, edge-key index, batch index, transmit-time verdict) plus
@@ -20,10 +20,6 @@ one shared list of :class:`_SendBatch` objects, and materializes
   here retains a ``Delivery`` (whose batch → phase → transport edge
   would form an uncollectable cycle); frames die by refcount as soon as
   the caller drops them.
-* **Object deposits still work.**  ``deposit()`` (used by eager/service
-  paths and fault-injected duplicates) appends a column row like any
-  other and parks the object in a side table keyed by row position, so
-  mixed eager/lazy deposits keep one global order.
 
 **Sharded delivery fanout.**  Above
 :data:`~repro.perf.shard.DELIVERY_REGION_MIN_IDS` ids, each interval's
@@ -39,13 +35,13 @@ interval's (at 1M nodes the difference between re-sorting ~60k and ~1M
 rows every time the adversary injects mid-interval).
 
 The verdict column holds the transmit-time precheck outcome: ``1`` rows
-materialize with ``verified=None`` (the lazy path — resolves ``True``
-unless an adversary materializes the MAC first) and ``0`` rows with
-``verified=False``, exactly the two constructor calls the object path
-makes.  :class:`~repro.net.network.PhaseContext` installs this store on
-the optimized path (caching enabled, no transport factory) — attacked
-and traced runs included; the cache-disabled reference path keeps
-:class:`SimTransport` unchanged.
+materialize with ``verified=None`` (lazy — resolves ``True`` unless an
+adversary materializes the MAC first) and ``0`` rows with
+``verified=False``, exactly the two constructor calls an object store
+receives.  :class:`~repro.net.network.PhaseContext` installs this store
+whenever the network has no transport factory (every in-process run,
+attacked and traced included); the service runtime supplies its own
+object stores.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ def _delivery_class():
 class _RegionColumns:
     """Append-only frame columns for one receiver region of one interval."""
 
-    __slots__ = ("receivers", "keys", "batch_ids", "verdicts", "obj_rows",
+    __slots__ = ("receivers", "keys", "batch_ids", "verdicts",
                  "_groups", "_grouped_rows")
 
     def __init__(self) -> None:
@@ -84,19 +80,16 @@ class _RegionColumns:
         self.keys = array("i")
         self.batch_ids = array("i")
         self.verdicts = array("b")
-        # Row position -> eagerly-built Delivery, for object deposits.
-        self.obj_rows: Optional[Dict[int, object]] = None
         # receiver -> row positions (deposit order), rebuilt whenever a
         # read finds rows appended since the last grouping.
         self._groups: Optional[Dict[int, np.ndarray]] = None
         self._grouped_rows = -1
 
-    def append(self, receiver: int, key_index: int, batch_id: int, verdict: int) -> int:
+    def append(self, receiver: int, key_index: int, batch_id: int, verdict: int) -> None:
         self.receivers.append(receiver)
         self.keys.append(key_index)
         self.batch_ids.append(batch_id)
         self.verdicts.append(verdict)
-        return len(self.receivers) - 1
 
     def groups(self) -> Dict[int, np.ndarray]:
         count = len(self.receivers)
@@ -159,7 +152,9 @@ class _IntervalStore:
 
 
 class SoATransport:
-    """Column frame store satisfying the transport contract."""
+    """Column frame store: frames arrive through :meth:`deposit_columns`
+    (no :class:`Delivery` object) and reads follow the transport
+    contract of :mod:`repro.net.transport`."""
 
     __slots__ = ("_stores", "_batches", "_region_size", "_num_regions")
 
@@ -198,17 +193,6 @@ class SoATransport:
         )
         store.total_rows += 1
 
-    def deposit(self, interval: int, receiver: int, delivery) -> None:
-        """Object deposit (eager frames, injected duplicates): keeps one
-        per-receiver row order with column deposits."""
-        store = self._store(interval)
-        columns = store.columns_for(receiver)
-        position = columns.append(receiver, delivery.key_index, -1, 0)
-        store.total_rows += 1
-        if columns.obj_rows is None:
-            columns.obj_rows = {}
-        columns.obj_rows[position] = delivery
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -229,17 +213,11 @@ class SoATransport:
     ) -> List[object]:
         delivery_cls = _delivery_class()
         batches = self._batches
-        obj_rows = columns.obj_rows
         keys = columns.keys
         batch_ids = columns.batch_ids
         verdicts = columns.verdicts
         out: List[object] = []
         for position in rows.tolist():
-            if obj_rows is not None:
-                existing = obj_rows.get(position)
-                if existing is not None:
-                    out.append(existing)
-                    continue
             out.append(
                 delivery_cls(
                     batches[batch_ids[position]],
@@ -262,7 +240,7 @@ class _SoAArrivals(Mapping):
     """Read-only ``receiver -> frames`` view over one interval store.
 
     Iteration is ascending by receiver id (every consumer sorts anyway;
-    the reference mapping iterates in first-deposit order, which no code
+    a plain list store iterates in first-deposit order, which no code
     path observes): regions are ascending contiguous id ranges, so
     walking regions in order and sorting within each yields the global
     sorted order.  ``__getitem__`` materializes frames on demand.

@@ -1,12 +1,13 @@
 """Frame-store transports behind :class:`~repro.net.network.PhaseContext`.
 
-The simulator's frame store — a per-interval, per-receiver list of
-:class:`~repro.net.network.Delivery` frames — is factored out here as
-:class:`SimTransport` so a second runtime can substitute its own store.
-The service runtime (:mod:`repro.service`) installs transports that
+In-process runs keep frames in the column store
+:class:`~repro.net.soa.SoATransport`.  :class:`SimTransport` — a
+per-interval, per-receiver list of :class:`~repro.net.network.Delivery`
+frames — is the plain object store a second runtime builds on: the
+service runtime (:mod:`repro.service`) installs transports that
 *additionally* queue each deposited frame for shipment between OS
-processes, while reusing this in-process store for everything the local
-protocol logic reads.
+processes, while reusing this store for everything the local protocol
+logic reads.
 
 Transport contract (what ``PhaseContext`` relies on):
 
@@ -38,7 +39,7 @@ _EMPTY_ARRIVALS: Dict[int, List["Delivery"]] = {}
 
 
 class SimTransport:
-    """The in-process frame store the simulator has always used.
+    """A plain per-receiver list frame store.
 
     Frames are kept exactly where :meth:`deposit` put them, in call
     order — chronological send order, which downstream acceptance loops

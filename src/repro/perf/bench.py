@@ -16,19 +16,20 @@ Two layers are measured:
   repeat) so machine drift hits both sides equally; the best round per
   side is reported.
 * **e2e** — whole campaign cells (``fig7``/``fig8``/``chaos`` reduced
-  grids) run twice on the same build: once with every cache disabled
-  (:func:`repro.perf.cache.disabled` — the reference path) and once
-  warm.  The metrics dictionaries of both runs must be equal, which is
-  the end-to-end bit-identity check, and the wall-time ratio is the
-  layer's deployed speedup.
+  grids) run twice on the same build: once with every cache bypassed
+  (:func:`repro.perf.cache.disabled`) and once warm.  The metrics
+  dictionaries of both runs must be equal — caches never change an
+  output — and the warm run's wall time is recorded.  Both runs use the
+  one execution kernel, so their time ratio would measure only cache
+  warmth and is not reported.
 
 ``python -m repro bench`` drives this module, writes
 ``BENCH_perf.json`` and can gate regressions against a committed
 payload via :func:`compare_bench_payloads` (reusing the campaign
-comparison report).  Comparisons gate on **speedup ratios**, not
-absolute microseconds: both sides of a ratio are measured on the same
-machine in the same process, so the ratio travels across hardware
-while raw timings do not.
+comparison report).  Comparisons gate on the micro **speedup ratios**
+and the e2e bit-identity flags, not absolute microseconds: both sides
+of a ratio are measured on the same machine in the same process, so
+the ratio travels across hardware while raw timings do not.
 
 Profiling (``--profile``) wraps only the e2e cells in ``cProfile`` and
 renders a top-N hotspot table.  The profiler object is created only
@@ -585,9 +586,7 @@ _E2E_SEED = 1337
 class E2EResult:
     cell: str
     params: Dict[str, Any]
-    ref_s: float
     opt_s: float
-    speedup: float
     metrics_equal: bool
 
 
@@ -602,16 +601,12 @@ def _run_e2e_cell(
     import repro.campaign.scenarios  # noqa: F401  (registers the scenarios)
 
     run = get_scenario(name).run
-    best_ref = math.inf
+    with disabled():
+        ref_metrics = run(dict(params), _E2E_SEED)
     best_opt = math.inf
-    ref_metrics: Any = None
     opt_metrics: Any = None
     for _ in range(repeat):
-        with disabled():
-            started = time.perf_counter()
-            ref_metrics = run(dict(params), _E2E_SEED)
-            best_ref = min(best_ref, time.perf_counter() - started)
-        clear_caches()  # each optimized round starts cold, like a worker
+        clear_caches()  # each timed round starts cold, like a worker
         if profiler is not None:
             profiler.enable()
         started = time.perf_counter()
@@ -622,15 +617,13 @@ def _run_e2e_cell(
     metrics_equal = _identical(ref_metrics, opt_metrics)
     if not metrics_equal:
         raise ReproError(
-            f"e2e cell {name!r}: cache-disabled and warm runs produced different "
+            f"e2e cell {name!r}: cache-bypassed and warm runs produced different "
             f"metrics ({ref_metrics!r} vs {opt_metrics!r}) — bit-identity broken"
         )
     return E2EResult(
         cell=name,
         params=dict(params),
-        ref_s=round(best_ref, 6),
         opt_s=round(best_opt, 6),
-        speedup=round(best_ref / best_opt, 2) if best_opt > 0 else math.inf,
         metrics_equal=metrics_equal,
     )
 
@@ -646,7 +639,6 @@ class BenchReport:
 
     micro: List[MicroResult] = field(default_factory=list)
     e2e: List[E2EResult] = field(default_factory=list)
-    e2e_cells_per_sec_ref: float = 0.0
     e2e_cells_per_sec_opt: float = 0.0
     profile_table: Optional[str] = None
     #: Cache stats merged across snapshots taken while the caches were
@@ -655,12 +647,6 @@ class BenchReport:
     #: entry cleared everything, which is how BENCH_perf.json once
     #: recorded "960 hits, size 0" for a cache that was plainly full.
     cache_stat_snapshot: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def e2e_speedup(self) -> float:
-        if self.e2e_cells_per_sec_ref <= 0:
-            return 0.0
-        return round(self.e2e_cells_per_sec_opt / self.e2e_cells_per_sec_ref, 2)
 
     def payload(self) -> Dict[str, Any]:
         """The ``BENCH_perf.json`` payload (comparison-stable keys)."""
@@ -678,18 +664,12 @@ class BenchReport:
             "e2e": {
                 r.cell: {
                     "params": r.params,
-                    "ref_s": r.ref_s,
                     "opt_s": r.opt_s,
-                    "speedup": r.speedup,
                     "metrics_equal": r.metrics_equal,
                 }
                 for r in self.e2e
             },
-            "e2e_cells_per_sec": {
-                "reference": self.e2e_cells_per_sec_ref,
-                "optimized": self.e2e_cells_per_sec_opt,
-                "speedup": self.e2e_speedup,
-            },
+            "e2e_cells_per_sec": {"optimized": self.e2e_cells_per_sec_opt},
             "cache_stats": self.cache_stat_snapshot or cache_stats(),
         }
 
@@ -707,19 +687,12 @@ class BenchReport:
             ),
             "",
             format_table(
-                "e2e cells (reference = caches disabled, same build)",
-                ["cell", "ref_s", "opt_s", "speedup", "bit-identical"],
-                [
-                    [r.cell, r.ref_s, r.opt_s, f"{r.speedup}x", r.metrics_equal]
-                    for r in self.e2e
-                ],
+                "e2e cells (bit-identical = caches bypassed vs warm)",
+                ["cell", "opt_s", "bit-identical"],
+                [[r.cell, r.opt_s, r.metrics_equal] for r in self.e2e],
             ),
             "",
-            (
-                f"e2e throughput: {self.e2e_cells_per_sec_ref:.2f} -> "
-                f"{self.e2e_cells_per_sec_opt:.2f} cells/s "
-                f"({self.e2e_speedup}x)"
-            ),
+            f"e2e throughput: {self.e2e_cells_per_sec_opt:.2f} cells/s",
         ]
         if self.profile_table:
             lines += ["", self.profile_table]
@@ -791,12 +764,10 @@ def run_bench(
         report.cache_stat_snapshot = merge_cache_stats(
             report.cache_stat_snapshot, cache_stats()
         )
-        say(f"e2e {name}: {result.ref_s} -> {result.opt_s} s ({result.speedup}x)")
+        say(f"e2e {name}: {result.opt_s} s, bit-identical {result.metrics_equal}")
         if profiler is not None:
             tables.append(_hotspot_table(profiler, profile_top, cell=name))
-    ref_total = sum(r.ref_s for r in report.e2e)
     opt_total = sum(r.opt_s for r in report.e2e)
-    report.e2e_cells_per_sec_ref = round(len(report.e2e) / ref_total, 4) if ref_total else 0.0
     report.e2e_cells_per_sec_opt = round(len(report.e2e) / opt_total, 4) if opt_total else 0.0
     if tables:
         report.profile_table = "\n\n".join(tables)
@@ -808,11 +779,12 @@ def compare_bench_payloads(
 ) -> "Any":
     """Gate a fresh bench payload against a committed baseline.
 
-    Comparison is on **speedup ratios** (reference/optimized on the same
-    machine), which transfer across hardware; a bench regresses when its
-    ratio drops by more than ``threshold`` relative to the recorded one
-    (the default 0.5 catches roughly 2x slowdowns of the optimized path
-    while tolerating runner noise).  Vanished benches fail the gate.
+    Micro benches compare on **speedup ratios** (reference/optimized on
+    the same machine), which transfer across hardware; a bench regresses
+    when its ratio drops by more than ``threshold`` relative to the
+    recorded one (the default 0.5 catches roughly 2x slowdowns of the
+    optimized path while tolerating runner noise).  E2E cells compare on
+    their bit-identity flag.  Vanished benches fail the gate.
     Returns a :class:`repro.campaign.report.ComparisonReport`.
     """
     from ..campaign.report import ComparisonReport, Regression
@@ -851,7 +823,7 @@ def compare_bench_payloads(
         if new_entry is None:
             report.missing_groups.append(f"e2e:{name}")
             continue
-        check(f"e2e:{name}", "speedup", entry.get("speedup"), new_entry.get("speedup"))
+        report.compared += 1
         if new_entry.get("metrics_equal") is False:
             report.regressions.append(
                 Regression(

@@ -12,11 +12,12 @@ goes through :class:`LRUCache`, for three reasons:
   so every cache evicts least-recently-used entries past ``maxsize``
   instead of growing without limit;
 * **centrally switchable** — :func:`set_caching` / :func:`disabled`
-  turn every registered cache into a pass-through, which is how the
-  microbenchmark harness (:mod:`repro.perf.bench`) measures the
-  reference path on the same build, and how any doubt about a cache's
-  transparency can be settled empirically (``repro bench`` asserts
-  enabled == disabled outputs before timing them).
+  turn every registered cache into a pass-through on the one execution
+  kernel, which is how any doubt about a cache's transparency can be
+  settled empirically (``repro bench`` asserts enabled == disabled
+  outputs, and ``tests/test_golden_digests.py`` runs every pinned cell
+  both ways).  The switch selects no algorithm: only cache get/put
+  sites read it.
 
 The registry is process-global; caches are keyed by name and report hit
 /miss/eviction counts through :func:`cache_stats`.
@@ -35,9 +36,9 @@ from ..errors import ConfigError
 _REGISTRY: "OrderedDict[str, LRUCache]" = OrderedDict()
 
 #: Environment override: set ``REPRO_DISABLE_PERF_CACHES=1`` to start the
-#: process with every cache off (the reference path).  CI runs the full
-#: test matrix a second time under this flag to prove warm and cache-free
-#: executions are bit-identical end to end.
+#: process with every cache bypassed.  CI runs the full-stack matrix and
+#: the golden digests a second time under this flag to prove warm and
+#: cache-free executions are bit-identical end to end.
 _DISABLED_BY_ENV = os.environ.get("REPRO_DISABLE_PERF_CACHES", "").strip().lower() in {
     "1", "true", "yes", "on",
 }

@@ -15,14 +15,14 @@ fixed number of honest ``MinQuery`` executions, and records
 * peak RSS (``ru_maxrss``; a process-wide high-water mark, so cells run
   smallest-first and each cell reports the mark *after* it ran).
 
-Cells up to 1,000 nodes also run the reference path (every cache
-disabled via :func:`repro.perf.cache.disabled`) on a fresh deployment
-with the same seed and assert ``Metrics.to_dict()`` equality — the same
-bit-identity contract the microbench enforces, applied end-to-end at
-scale.  The 10,000- and 100,000-node cells run optimized-only: their
-reference legs would dominate the whole suite's budget, and the
-contract they would check is already pinned by the smaller sizes (and
-by ``tests/test_soa.py``'s bit-identity matrix over the SoA kernel).
+Cells up to 1,000 nodes also run an equality leg with every cache
+bypassed (:func:`repro.perf.cache.disabled`) on a fresh deployment with
+the same seed and assert ``Metrics.to_dict()`` equality — caches must
+never change an output.  The leg is not timed: both legs run the same
+kernel, so a ratio between them measures only cache warmth.  The
+10,000- and 100,000-node cells skip it; the contract is already pinned
+by the smaller sizes (and by ``tests/golden_digests.json``, recorded
+from the retired object reference path).
 
 Line topologies stop at 1,000 nodes by design: a 10k-node line has
 depth bound ~10k, and the paper's interval loop is O(n x L) — that cell
@@ -38,7 +38,7 @@ overrides), or the cell raises.
 
 ``python -m repro bench scale`` drives this module, writes
 ``BENCH_scale.json`` and gates regressions with
-:func:`compare_scale_payloads` — on speedup ratios, bytes/node and
+:func:`compare_scale_payloads` — on bytes/node, bit-identity and
 completion, not raw wall times, so the gate travels across hardware.
 The comparison is sizes-aware: baseline cells whose size is absent from
 the new payload's ``sizes`` list are skipped, so CI can sweep ≤10k
@@ -89,7 +89,7 @@ SCALE_BUDGET_S = 1_800.0
 #: the object path already paid at a tenth the size.
 MEMORY_BYTES_PER_NODE_GATE = 404_844 * 1024 // 10_000
 
-#: Sizes whose cells also run the cache-disabled reference leg.  The
+#: Sizes whose cells also run the cache-bypassed equality leg.  The
 #: 10k cells skip it (see module docstring).
 REFERENCE_MAX_NODES = 1_000
 
@@ -175,8 +175,6 @@ class ScaleResult:
     events_per_sec: float
     peak_rss_kb: int
     bytes_per_node: float = 0.0
-    ref_s: Optional[float] = None
-    speedup: Optional[float] = None
     metrics_equal: Optional[bool] = None
 
 
@@ -203,7 +201,7 @@ def _build_deployment(kind: str, nodes: int, seed: int, malicious_ids=None):
     # a degree-4 grid keeps near-certain edge-key coverage: two rings
     # share a key with probability ~1 - e^(-r^2/u) ~ 0.98.  The toy
     # test-config pool (u = 200) would make every ring intersection
-    # trivially cheap and understate the reference path's real cost.
+    # trivially cheap and understate the real per-edge cost.
     config = small_test_config(
         depth_bound=_depth_bound(kind, nodes), pool_size=16_384, ring_size=250
     )
@@ -226,7 +224,7 @@ def _run_executions(kind: str, nodes: int, executions: int, seed: int):
     """Build a fresh deployment, run ``executions`` honest MinQueries.
 
     Returns (build_s, exec_s, metrics_dict, total_frames).  A fresh
-    deployment per call keeps reference and optimized legs starting from
+    deployment per call keeps the equality and timed legs starting from
     identical state.
     """
     from .. import MinQuery, VMATProtocol
@@ -292,10 +290,11 @@ def _event_storm(nodes: int, depth_bound: int) -> Tuple[int, float]:
 def reference_equality(
     kind: str, nodes: int, executions: int, seed: int = _SCALE_SEED
 ) -> Dict[str, float]:
-    """Deterministic disabled-vs-warm equality check for one cell.
+    """Deterministic caches-bypassed-vs-warm equality check for one cell.
 
-    Runs the reference leg (caches disabled) and a cold-started warm leg
-    on fresh deployments with the same seed, asserts byte-identical
+    Runs one leg with every cache bypassed and a cold-started warm leg
+    on fresh deployments with the same seed — one kernel, so the check
+    is that caches never change an output — asserts byte-identical
     ``Metrics.to_dict()``, and returns only *deterministic* numbers — no
     wall times — so the campaign store can diff this cell at zero
     tolerance.  Raises :class:`ReproError` on any divergence.
@@ -317,7 +316,7 @@ def reference_equality(
     if ref_frames != opt_frames:
         raise ReproError(
             f"scale cell {kind}-{nodes}: frame counts diverge "
-            f"({ref_frames} reference vs {opt_frames} warm)"
+            f"({ref_frames} bypassed vs {opt_frames} warm)"
         )
     return {
         "metrics_equal": 1.0,
@@ -361,12 +360,11 @@ def attacked_reference_equality(
     strategy: str = "relay-drop",
     seed: int = _SCALE_SEED,
 ) -> Dict[str, float]:
-    """Disabled-vs-warm equality for one *attacked* cell.
+    """Caches-bypassed-vs-warm equality for one *attacked* cell.
 
-    The hybrid kernel keeps adversarial runs on the columns, so the
-    same contract as :func:`reference_equality` must hold with a zoo
-    strategy active: byte-identical ``Metrics.to_dict()``, identical
-    outcome sequence, identical frame counts.  Two deterministic
+    The same contract as :func:`reference_equality` with a zoo strategy
+    active: byte-identical ``Metrics.to_dict()``, identical outcome
+    sequence, identical frame counts.  Two deterministic
     mid-topology sensors are compromised (colluding strategies need at
     least two); both legs build fresh deployments and re-seed the
     adversary identically.  Raises :class:`ReproError` on divergence.
@@ -382,7 +380,7 @@ def attacked_reference_equality(
     if ref_outcomes != opt_outcomes:
         raise ReproError(
             f"attacked scale cell {kind}-{nodes} ({strategy}): outcome "
-            f"sequences diverge ({ref_outcomes} reference vs {opt_outcomes} "
+            f"sequences diverge ({ref_outcomes} bypassed vs {opt_outcomes} "
             "warm)"
         )
     if ref_metrics != opt_metrics:
@@ -399,7 +397,7 @@ def attacked_reference_equality(
     if ref_frames != opt_frames:
         raise ReproError(
             f"attacked scale cell {kind}-{nodes} ({strategy}): frame counts "
-            f"diverge ({ref_frames} reference vs {opt_frames} warm)"
+            f"diverge ({ref_frames} bypassed vs {opt_frames} warm)"
         )
     return {
         "metrics_equal": 1.0,
@@ -410,17 +408,15 @@ def attacked_reference_equality(
 
 
 def run_scale_cell(kind: str, nodes: int, with_reference: bool) -> ScaleResult:
-    """Run one (kind, nodes) cell; reference leg only when requested."""
+    """Run one (kind, nodes) cell; the cache-bypassed equality leg only
+    when ``with_reference``."""
     executions = _EXECUTIONS_10K if nodes >= 10_000 else _EXECUTIONS[kind]
-    ref_s: Optional[float] = None
     metrics_equal: Optional[bool] = None
     ref_metrics: Any = None
     if with_reference:
         with disabled():
-            _, ref_s, ref_metrics, _ = _run_executions(
-                kind, nodes, executions, _SCALE_SEED
-            )
-    clear_caches()  # the optimized leg starts cold, like a fresh worker
+            _, _, ref_metrics, _ = _run_executions(kind, nodes, executions, _SCALE_SEED)
+    clear_caches()  # the timed leg starts cold, like a fresh worker
     build_s, opt_s, opt_metrics, frames = _run_executions(
         kind, nodes, executions, _SCALE_SEED
     )
@@ -428,7 +424,7 @@ def run_scale_cell(kind: str, nodes: int, with_reference: bool) -> ScaleResult:
         metrics_equal = ref_metrics == opt_metrics
         if not metrics_equal:
             raise ReproError(
-                f"scale cell {kind}-{nodes}: cache-disabled and warm runs "
+                f"scale cell {kind}-{nodes}: cache-bypassed and warm runs "
                 "produced different Metrics.to_dict() — bit-identity broken"
             )
     events, storm_s = _event_storm(nodes, _depth_bound(kind, nodes))
@@ -467,10 +463,6 @@ def run_scale_cell(kind: str, nodes: int, with_reference: bool) -> ScaleResult:
         events_per_sec=round(events / storm_s, 2) if storm_s > 0 else 0.0,
         peak_rss_kb=peak_rss_kb,
         bytes_per_node=bytes_per_node,
-        ref_s=round(ref_s, 6) if ref_s is not None else None,
-        speedup=(
-            round(ref_s / opt_s, 2) if ref_s is not None and opt_s > 0 else None
-        ),
         metrics_equal=metrics_equal,
     )
 
@@ -500,8 +492,6 @@ class ScaleReport:
                     "executions": r.executions,
                     "build_s": r.build_s,
                     "opt_s": r.opt_s,
-                    "ref_s": r.ref_s,
-                    "speedup": r.speedup,
                     "metrics_equal": r.metrics_equal,
                     "nodes_per_sec": r.nodes_per_sec,
                     "frames": r.frames,
@@ -523,9 +513,8 @@ class ScaleReport:
             [
                 r.cell,
                 r.depth_bound,
-                r.ref_s if r.ref_s is not None else "-",
                 r.opt_s,
-                f"{r.speedup}x" if r.speedup is not None else "-",
+                "-" if r.metrics_equal is None else r.metrics_equal,
                 r.nodes_per_sec,
                 r.frames_per_sec,
                 r.events_per_sec,
@@ -535,8 +524,8 @@ class ScaleReport:
             for r in self.cells
         ]
         return format_table(
-            "scale cells (reference = caches disabled, same build)",
-            ["cell", "depth", "ref_s", "opt_s", "speedup", "nodes/s", "frames/s", "events/s", "rss_mb", "B/node"],
+            "scale cells (bit-identical = caches bypassed vs warm)",
+            ["cell", "depth", "opt_s", "bit-identical", "nodes/s", "frames/s", "events/s", "rss_mb", "B/node"],
             rows,
         )
 
@@ -554,13 +543,12 @@ def run_scale_bench(
         result = run_scale_cell(kind, nodes, with_reference=nodes <= REFERENCE_MAX_NODES)
         report.cells.append(result)
         # Snapshot while this cell's caches are still warm; the next
-        # cell's reference leg enters disabled(), which clears them.
+        # cell's equality leg enters disabled(), which clears them.
         report.cache_stat_snapshot = merge_cache_stats(
             report.cache_stat_snapshot, cache_stats()
         )
         say(
             f"scale {result.cell}: opt {result.opt_s}s"
-            + (f", ref {result.ref_s}s ({result.speedup}x)" if result.ref_s is not None else "")
             + f", {result.frames_per_sec:.0f} frames/s, rss {result.peak_rss_kb // 1024} MB"
         )
     return report
@@ -571,11 +559,10 @@ def compare_scale_payloads(
 ) -> "Any":
     """Gate a fresh scale payload against a committed ``BENCH_scale.json``.
 
-    Gates on what travels across hardware: per-cell **speedup ratios**
-    (one-sided — only a drop beyond ``threshold`` regresses),
-    **bytes/node** (one-sided — only growth beyond ``threshold``
-    regresses; the absolute 100k gate lives in :func:`run_scale_cell`),
-    the bit-identity flag, and cell *presence* — sizes-aware: a base
+    Gates on what travels across hardware: per-cell **bytes/node**
+    (one-sided — only growth beyond ``threshold`` regresses; the
+    absolute 100k gate lives in :func:`run_scale_cell`), the
+    bit-identity flag, and cell *presence* — sizes-aware: a base
     cell only counts as missing when the fresh payload claims to have
     swept that node count (its ``sizes`` key), so a CI smoke over the
     small sizes diffs cleanly against a full payload carrying the 100k
@@ -603,24 +590,6 @@ def compare_scale_payloads(
             if not new_sizes or nodes is None or nodes in new_sizes:
                 report.missing_groups.append(f"scale:{cell}")
             continue
-        base_speedup = entry.get("speedup")
-        new_speedup = new_entry.get("speedup")
-        if isinstance(base_speedup, (int, float)):
-            if not isinstance(new_speedup, (int, float)):
-                report.missing_groups.append(f"scale:{cell} :: speedup")
-            else:
-                report.compared += 1
-                drop = (base_speedup - new_speedup) / base_speedup if base_speedup else 0.0
-                if drop > threshold:
-                    report.regressions.append(
-                        Regression(
-                            group=f"scale:{cell}",
-                            metric="speedup",
-                            base_mean=float(base_speedup),
-                            new_mean=float(new_speedup),
-                            rel_delta=-drop,
-                        )
-                    )
         base_bpn = entry.get("bytes_per_node")
         new_bpn = new_entry.get("bytes_per_node")
         if isinstance(base_bpn, (int, float)) and base_bpn > 0:

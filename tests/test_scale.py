@@ -8,11 +8,12 @@ These tests pin the contracts the 10k-node path leans on:
   when ``start_time`` and the interval length are not float-aligned);
 * ``PhaseContext.arrival_map`` is a pure read-optimization over
   ``inbox`` — same readability gate, same membership;
-* lazy edge-MAC verification is observationally identical to the eager
-  reference path, including when revocations land between a frame's
-  transmission and its first read;
+* lazy edge-MAC verification is observationally identical to computing
+  the MAC and the receiver's verdict eagerly at send time, including
+  when revocations land between a frame's transmission and its first
+  read;
 * the incremental secure-topology view answers exactly like the
-  registry-backed reference path across revocation epochs;
+  registry's direct per-edge computation across revocation epochs;
 * engine event ordering is deterministic and ``Event`` stays slotted;
 * the cache-stat algebra (merge/diff/sum) keeps honest counters across
   clears and worker processes;
@@ -26,13 +27,15 @@ import math
 import pytest
 
 from repro import build_deployment, small_test_config
+from repro.crypto.encoding import encode_parts
+from repro.crypto.mac import compute_mac_message
 from repro.errors import NetworkError, ReproError, SimulationError
 from repro.net.message import TreeBeacon
+from repro.net.network import _edge_mac_message
 from repro.perf.cache import (
     caching_enabled,
     clear_caches,
     diff_cache_stats,
-    disabled,
     merge_cache_stats,
     sum_cache_stats,
 )
@@ -168,8 +171,22 @@ class TestArrivalMap:
 
 
 # ----------------------------------------------------------------------
-# Lazy edge-MAC verification == eager reference path
+# Lazy edge-MAC verification == eager MAC and verdict at send time
 # ----------------------------------------------------------------------
+def _eager(net, delivery, phase_name="t"):
+    """The frame's MAC as the sender computes it over the canonical
+    edge-MAC bytes, and the receiver link layer's verdict on it."""
+    message = _edge_mac_message(
+        delivery.sender,
+        delivery.receiver,
+        encode_parts(phase_name),
+        delivery.interval,
+        delivery.payload.canonical_bytes(),
+    )
+    mac = compute_mac_message(net.registry.pool_key(delivery.key_index), message)
+    return mac, net._accepts_message(delivery.receiver, delivery.key_index, mac, message)
+
+
 class TestLazyVerification:
     def _one_frame(self, seed=7):
         deployment = build_deployment(
@@ -188,46 +205,39 @@ class TestLazyVerification:
         assert caching_enabled()
         net, _, lazy = self._one_frame()
         assert lazy._verified is None  # genuinely deferred
-        with disabled():
-            _, _, eager = self._one_frame()
-            assert eager._verified is not None  # eagerly sealed
-            assert lazy.verified == eager.verified is True
+        _, eager_verdict = _eager(net, lazy)
+        assert lazy.verified == eager_verdict is True
 
     def test_revocation_between_send_and_read_does_not_flip_verdict(self):
-        # Eager reference: verification happened at transmit, so a key
-        # revoked *after* the frame is on the air does not unverify it.
-        with disabled():
-            net, phase, eager = self._one_frame()
-            net.registry.revoke_key(eager.key_index)
-            reference_verdict = eager.verified
-        assert reference_verdict is True
-        # Lazy path must agree even though it reads after the revocation.
+        # Verified eagerly at transmit, a key revoked *after* the frame
+        # is on the air does not unverify it.
         net, phase, lazy = self._one_frame()
+        _, reference_verdict = _eager(net, lazy)
+        assert reference_verdict is True
+        # The lazy path must agree even though it reads after the
+        # revocation.
         assert lazy._verified is None
         net.registry.revoke_key(lazy.key_index)
         assert lazy.verified is reference_verdict
 
     def test_key_revoked_before_send_sealed_unverified_both_paths(self):
-        def run():
-            deployment = build_deployment(
-                config=small_test_config(depth_bound=12),
-                topology=line_topology(10),
-                seed=7,
-            )
-            net = deployment.network
-            key_index = net.edge_key_index(0, 1)
-            net.registry.revoke_key(key_index)
-            phase = net.new_phase("t", 2)
-            phase.begin_interval(1)
-            # Base station pins the now-revoked key explicitly (it holds
-            # every pool key, so possession passes; acceptance must not).
-            assert phase.send(0, [1], beacon(), interval=1, key_index=key_index)
-            (delivery,) = phase.inbox(1, 1)
-            return delivery.verified
-
-        assert run() is False
-        with disabled():
-            assert run() is False
+        deployment = build_deployment(
+            config=small_test_config(depth_bound=12),
+            topology=line_topology(10),
+            seed=7,
+        )
+        net = deployment.network
+        key_index = net.edge_key_index(0, 1)
+        net.registry.revoke_key(key_index)
+        phase = net.new_phase("t", 2)
+        phase.begin_interval(1)
+        # Base station pins the now-revoked key explicitly (it holds
+        # every pool key, so possession passes; acceptance must not).
+        assert phase.send(0, [1], beacon(), interval=1, key_index=key_index)
+        (delivery,) = phase.inbox(1, 1)
+        assert delivery._verified is False  # sealed at transmit
+        assert delivery.verified is False
+        assert _eager(net, delivery)[1] is False
 
     def test_materialized_mac_still_verifies(self):
         # Reading edge_mac first forces the HMAC to exist; verified must
@@ -241,27 +251,24 @@ class TestLazyVerification:
 
     def test_lazy_mac_equals_eager_mac_bytes(self):
         net, phase, lazy = self._one_frame()
-        with disabled():
-            _, _, eager = self._one_frame()
-            assert lazy.edge_mac == eager.edge_mac  # same bytes either path
+        assert lazy.edge_mac == _eager(net, lazy)[0]
 
 
 # ----------------------------------------------------------------------
-# Incremental secure-topology view vs the registry reference path
+# Incremental secure-topology view vs the registry's direct computation
 # ----------------------------------------------------------------------
 class TestSecureViewEquivalence:
     def _assert_views_agree(self, net):
         topology = net.topology
+        registry = net.registry
         for a in topology.node_ids:
-            with disabled():
-                ref_neighbors = net.secure_neighbors(a)
+            ref_neighbors = [
+                b for b in topology.neighbors(a) if registry.link_usable(a, b)
+            ]
             assert net.secure_neighbors(a) == ref_neighbors
             for b in topology.neighbors(a):
-                with disabled():
-                    ref_key = net.edge_key_index(a, b)
-                    ref_usable = net.link_usable(a, b)
-                assert net.edge_key_index(a, b) == ref_key
-                assert net.link_usable(a, b) == ref_usable
+                assert net.edge_key_index(a, b) == registry.edge_key_index(a, b)
+                assert net.link_usable(a, b) == registry.link_usable(a, b)
 
     def test_agreement_across_revocation_epochs(self, line_deployment):
         net = line_deployment.network
@@ -277,8 +284,14 @@ class TestSecureViewEquivalence:
     def test_component_agreement_after_sensor_revocation(self, line_deployment):
         net = line_deployment.network
         net.registry.revoke_sensor(5)
-        with disabled():
-            reference = net.honest_secure_component()
+        revoked = net.registry.revoked_sensors
+        excluded = {
+            i
+            for i in net.topology.node_ids
+            if i != 0 and (i not in net.nodes or i in revoked)
+        }
+        secure = net.topology.subgraph(net.registry.link_usable)
+        reference = secure.connected_component(exclude=excluded)
         assert net.honest_secure_component() == reference
         # A revoked mid-line sensor cuts everything behind it off.
         assert all(node <= 4 for node in reference)
@@ -420,37 +433,37 @@ class TestScaleHarness:
         assert all(n <= LINE_MAX_NODES for kind, n in cells if kind == "line")
 
     def test_compare_passes_within_threshold(self):
-        base = {"cells": {"grid-100": {"speedup": 6.0, "metrics_equal": True}}}
-        new = {"cells": {"grid-100": {"speedup": 4.0, "metrics_equal": True}}}
+        base = {"cells": {"grid-100": {"bytes_per_node": 4000.0, "metrics_equal": True}}}
+        new = {"cells": {"grid-100": {"bytes_per_node": 5500.0, "metrics_equal": True}}}
         assert compare_scale_payloads(base, new, threshold=0.5).passed
 
-    def test_compare_flags_speedup_collapse(self):
-        base = {"cells": {"grid-100": {"speedup": 6.0, "metrics_equal": True}}}
-        new = {"cells": {"grid-100": {"speedup": 2.0, "metrics_equal": True}}}
+    def test_compare_flags_bytes_per_node_growth(self):
+        base = {"cells": {"grid-100": {"bytes_per_node": 4000.0, "metrics_equal": True}}}
+        new = {"cells": {"grid-100": {"bytes_per_node": 9000.0, "metrics_equal": True}}}
         report = compare_scale_payloads(base, new, threshold=0.5)
         assert not report.passed
-        assert report.regressions[0].metric == "speedup"
+        assert report.regressions[0].metric == "bytes_per_node"
 
     def test_compare_flags_missing_cell(self):
-        base = {"cells": {"grid-100": {"speedup": 6.0}}}
+        base = {"cells": {"grid-100": {"bytes_per_node": 4000.0}}}
         report = compare_scale_payloads(base, {"cells": {}}, threshold=0.5)
         assert not report.passed
         assert "scale:grid-100" in report.missing_groups
 
     def test_compare_flags_broken_bit_identity(self):
-        base = {"cells": {"grid-100": {"speedup": 6.0, "metrics_equal": True}}}
-        new = {"cells": {"grid-100": {"speedup": 6.0, "metrics_equal": False}}}
+        base = {"cells": {"grid-100": {"bytes_per_node": 4000.0, "metrics_equal": True}}}
+        new = {"cells": {"grid-100": {"bytes_per_node": 4000.0, "metrics_equal": False}}}
         report = compare_scale_payloads(base, new, threshold=0.5)
         assert not report.passed
         assert report.regressions[0].metric == "metrics_equal"
 
     def test_compare_never_gates_raw_wall_times(self):
-        base = {"cells": {"grid-100": {"speedup": 6.0, "opt_s": 0.1, "metrics_equal": True}}}
-        new = {"cells": {"grid-100": {"speedup": 6.0, "opt_s": 99.0, "metrics_equal": True}}}
+        base = {"cells": {"grid-100": {"opt_s": 0.1, "metrics_equal": True}}}
+        new = {"cells": {"grid-100": {"opt_s": 99.0, "metrics_equal": True}}}
         assert compare_scale_payloads(base, new, threshold=0.5).passed
 
     def test_reference_max_below_10k(self):
-        # The 10k cells must never be asked for a reference leg.
+        # The 10k cells must never be asked for an equality leg.
         assert REFERENCE_MAX_NODES < 10_000
 
 

@@ -212,3 +212,83 @@ def test_sigterm_flushes_metrics_and_reaps_children(tmp_path):
     # finish() detached every hook even though the hosts were already gone.
     assert network.honest_driver is None
     assert network.transport_factory is None
+
+
+# ----------------------------------------------------------------------
+# Node host: SIGTERM at any lifecycle stage exits 0
+# ----------------------------------------------------------------------
+# A host child whose ``stage`` hook runs at one lifecycle point.  The
+# hook signals the host's own process, so the SIGTERM lands exactly in
+# that stage instead of racing it.
+_HOST_SCRIPT = """
+import os, signal, sys
+from repro.service import ServiceSpec, node
+
+stage = sys.argv[1]
+
+def sigterm_self():
+    os.kill(os.getpid(), signal.SIGTERM)
+
+if stage == "construction":
+    build = node.NodeHost.__init__
+    def init(self, *args, **kwargs):
+        sigterm_self()
+        build(self, *args, **kwargs)
+    node.NodeHost.__init__ = init
+elif stage == "teardown":
+    flush = node.NodeHost._flush_metrics
+    def flush_after_signal(self):
+        sigterm_self()
+        flush(self)
+    node.NodeHost._flush_metrics = flush_after_signal
+sys.exit(node.run_node_host(ServiceSpec.from_env(), 0))
+"""
+
+
+@pytest.mark.parametrize("stage", ["construction", "mid-session", "teardown"])
+def test_node_host_sigterm_at_every_stage_exits_zero(stage, tmp_path):
+    import signal
+    import socket
+    import subprocess
+    import sys
+
+    from repro.service.supervisor import python_env
+    from repro.service.wire import RecordChannel
+
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    server.settimeout(30)
+    spec = ServiceSpec(
+        num_nodes=8,
+        processes=1,
+        seed=1,
+        control_port=server.getsockname()[1],
+        metrics_dir=str(tmp_path),
+    )
+    env = python_env()
+    env[SPEC_ENV] = spec.to_json()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _HOST_SCRIPT, stage], env=env, stdin=subprocess.DEVNULL
+    )
+    try:
+        if stage != "construction":
+            conn, _ = server.accept()
+            channel = RecordChannel(conn, timeout=30)
+            assert channel.recv()[0] == "hello"
+            if stage == "mid-session":
+                channel.send("peers", [0])
+                assert channel.recv()[0] == "ok"
+                proc.send_signal(signal.SIGTERM)  # idle, awaiting a record
+            else:
+                # The hook SIGTERMs the host after its shutdown reply,
+                # inside teardown.
+                assert channel.request("shutdown")[0] == "metrics"
+            channel.close()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        server.close()
+    assert (tmp_path / "host-0.metrics.json").exists()
