@@ -43,7 +43,7 @@ class TestRevocationSweep:
         )
         series = revocation_sweep(40, [0.0, 0.5, 0.95], config=config, trials=2, seed=2)
         assert series.connected_share[0.0] == 1.0
-        assert series.connected_share[0.95] <= series.connected_share[0.0]
+        assert series.connected_share[0.95] < series.connected_share[0.0]
 
     def test_collapse_fraction_none_when_robust(self):
         series = revocation_sweep(30, [0.0, 0.1], trials=1, seed=3)
