@@ -19,7 +19,11 @@ any single field, or to the order of events, changes the digest.
 The digests in ``golden_digests.json`` were recorded from the
 cache-disabled reference implementation and double as its oracle:
 every cell runs on fixed seeds, so a pinned digest carries the exact
-verdict a live reference comparison gave.
+verdict a live reference comparison gave.  The ``pairwise-*`` and
+``explicit-rings-*`` cells were recorded the same way from the
+explicit-ring key store (per-sensor ring objects and the dict
+revocation backend) that the pairwise scheme used before every key
+scheme moved onto the ring table.
 
 Re-record (only when an output change is intended, and say so in the
 change log)::
@@ -300,6 +304,114 @@ def _tree(variant: str, wormhole: Optional[Tuple[int, int]], multipath: bool) ->
     )
 
 
+def _pairwise_honest() -> str:
+    """One honest MIN query on a 15-node pairwise-key deployment, as in
+    ``tests/test_pairwise_scheme.py``."""
+    from repro import MinQuery, VMATProtocol, build_deployment
+
+    deployment = build_deployment(num_nodes=15, seed=4, key_scheme="pairwise")
+    network = deployment.network
+    readings = {i: 40.0 + i for i in deployment.topology.sensor_ids}
+    readings[9] = 2.0
+    results = [VMATProtocol(network).execute(MinQuery(), readings)]
+    return run_digest(network, results)
+
+
+def _pairwise_attacked() -> str:
+    """``tests/test_pairwise_scheme.py``'s attacked line: 8 pairwise-key
+    nodes, sensor 3 drops the minimum and denies predicate tests; θ = 2,
+    traced executions until one produces a result (at most 30)."""
+    from repro import MinQuery, VMATProtocol, build_deployment, small_test_config
+    from repro.adversary import Adversary, DropMinimumStrategy
+    from repro.topology import line_topology
+    from repro.tracing import Tracer
+
+    deployment = build_deployment(
+        config=small_test_config(depth_bound=12),
+        topology=line_topology(8),
+        malicious_ids={3},
+        seed=4,
+        key_scheme="pairwise",
+    )
+    network = deployment.network
+    deployment.registry.revocation.theta = 2
+    adversary = Adversary(network, DropMinimumStrategy(predtest="deny"), seed=4)
+    tracer = Tracer.attach(network)
+    protocol = VMATProtocol(network, adversary=adversary)
+    readings = {i: 40.0 + i for i in deployment.topology.sensor_ids}
+    readings[7] = 1.0
+    results = []
+    for _ in range(30):
+        results.append(protocol.execute(MinQuery(), readings))
+        if results[-1].produced_result:
+            break
+    return run_digest(network, results, tracer=tracer)
+
+
+_EXPLICIT_NODES = 10
+
+
+def _explicit_rings_revocation(cascade: bool) -> str:
+    """A registry over explicit rings (``ring_indices_factory``, fixed
+    seed-derived rows: pool 60, ring 12, 9 sensors, θ = 3) driven by a
+    fixed script of key and sensor revocations, idempotent repeats
+    included.  Chains each call's events, then the log, the revoked
+    sets, per-sensor revoked/exposed counts, pending sensors, the holders
+    of every pool index and every pair's edge key."""
+    from repro.config import KeyConfig, RevocationConfig
+    from repro.keys.registry import KeyRegistry
+    from repro.keys.ring import ring_indices_from_seed, ring_seed
+
+    config = KeyConfig(pool_size=60, ring_size=12)
+    rows = {
+        sensor: ring_indices_from_seed(
+            ring_seed(b"revocation-parity", sensor, cache=False), config, cache=False
+        )
+        for sensor in range(1, _EXPLICIT_NODES)
+    }
+    registry = KeyRegistry(
+        b"explicit-rings",
+        _EXPLICIT_NODES,
+        config,
+        RevocationConfig(theta=3),
+        cascade=cascade,
+        ring_indices_factory=rows.__getitem__,
+    )
+    script = (
+        [("key", index) for index in rows[1][:4]]
+        + [("key", index) for index in rows[2][:2]]
+        + [("sensor", 5), ("key", rows[1][0]), ("sensor", 5)]
+        + [("key", index) for index in rows[7][-3:]]
+    )
+    chain = DigestChain()
+
+    def events_of(events) -> List[Tuple[Any, ...]]:
+        return [(e.kind, e.target, e.reason, e.triggered_by_key) for e in events]
+
+    for kind, target in script:
+        revoke = registry.revoke_key if kind == "key" else registry.revoke_sensor
+        chain.add("events", [kind, target, events_of(revoke(target))])
+    state = registry.revocation
+    sensors = range(1, _EXPLICIT_NODES)
+    chain.add("log", events_of(state.log))
+    chain.add("revoked", [registry.revoked_keys, registry.revoked_sensors])
+    chain.add(
+        "counts",
+        [[state.revoked_ring_count(s), state.exposed_ring_count(s)] for s in sensors],
+    )
+    chain.add("pending", state.threshold_pending())
+    chain.add("holders", [registry.holders(i) for i in range(config.pool_size)])
+    chain.add(
+        "edge-keys",
+        [
+            registry.edge_key_index(a, b)
+            for a in range(_EXPLICIT_NODES)
+            for b in range(a + 1, _EXPLICIT_NODES)
+        ],
+    )
+    return chain.hexdigest()
+
+
 def _cells() -> Dict[str, Callable[[], str]]:
     cells: Dict[str, Callable[[], str]] = {}
     for kind, nodes in (("grid", 100), ("line", 100), ("grid", 400)):
@@ -324,6 +436,11 @@ def _cells() -> Dict[str, Callable[[], str]]:
                 cells[f"tree-{variant}{shape}-wormhole-{entry}-{exit}"] = (
                     lambda v=variant, w=(entry, exit), m=multipath: _tree(v, w, m)
                 )
+    cells["pairwise-honest"] = _pairwise_honest
+    cells["pairwise-attacked"] = _pairwise_attacked
+    for cascade in (False, True):
+        name = f"explicit-rings-revocation-{'cascade' if cascade else 'nocascade'}"
+        cells[name] = lambda c=cascade: _explicit_rings_revocation(c)
     return cells
 
 

@@ -5,9 +5,10 @@
 cache-disabled reference implementation.  The scale, single-path,
 attacked-line, zoo and full-stack matrix cells are checked by the named
 tests in ``test_soa.py`` and ``test_full_stack_matrix.py``; this file
-checks the remaining cells (tree formation, the e2e ``chaos`` cell and
-the attacked scale legs).  :func:`~tests.golden_digests.assert_pinned`
-runs each with the perf caches warm and with every cache bypassed
+checks the remaining cells (tree formation, the e2e ``chaos`` cell, the
+attacked scale legs and the pairwise-key deployments; the explicit-ring
+revocation cells belong to ``test_soa.py``'s revocation parity test).
+:func:`~tests.golden_digests.assert_pinned` runs each with the perf caches warm and with every cache bypassed
 (:func:`repro.perf.cache.disabled`).  The CI ``matrix-nocache`` job
 re-runs every cell with ``REPRO_DISABLE_PERF_CACHES=1`` to cover the
 env-var path.
@@ -22,7 +23,7 @@ from tests.golden_digests import CELLS, DigestChain, assert_pinned, load_digests
 UNNAMED_CELLS = sorted(
     name
     for name in CELLS
-    if name.startswith(("tree-", "scale-attacked-")) or name == "e2e-chaos"
+    if name.startswith(("tree-", "scale-attacked-", "pairwise-")) or name == "e2e-chaos"
 )
 
 
