@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-scale bench-scale-100k bench-scale-1m report examples figures service-smoke service-chaos tournament-smoke all clean
+.PHONY: install test bench bench-scale bench-scale-100k bench-scale-1m report examples figures service-smoke service-soak service-chaos tournament-smoke all clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -51,6 +51,18 @@ service-smoke:
 	$(PYTHON) -m repro service run --nodes 25 --processes 2 --seed 0 \
 		--compromised 5 --theta 6 --attack spurious-veto --check-equivalence
 	rm -f .service-smoke-plan.json
+
+# Flake hunt for the multi-process service tests: the three service
+# test files run 10 times back to back, stopping at the first failure,
+# so an intermittent node-host race surfaces in one job.
+SERVICE_TESTS = tests/test_service_unit.py tests/test_service_equivalence.py \
+	tests/test_service_resilience.py
+
+service-soak:
+	for pass in 1 2 3 4 5 6 7 8 9 10; do \
+		echo "== service-soak pass $$pass"; \
+		$(PYTHON) -m pytest -x -q $(SERVICE_TESTS) || exit 1; \
+	done
 
 # Resilience gate (docs/SERVICE.md, "Failure semantics"): the seeded
 # chaos harness — SIGKILL mid-session, host restart with journal

@@ -138,14 +138,8 @@ def _mutate_threshold_counts_ring_dumps() -> Iterator[None]:
     original_revoke_sensor = RevocationState.revoke_sensor
 
     def _counts_everything(self, trigger_key):
-        # Alias the exposed-count storage to the total-revoked storage,
-        # whichever backend this state uses (dict reference or the
-        # array-backed repro.keys.soa state).
-        if hasattr(self, "_exposed_arr"):
-            swap = _patched(self, "_exposed_arr", self._revoked_arr)
-        else:
-            swap = _patched(self, "_exposed_count", self._revoked_count)
-        with swap:
+        # Alias the exposed-count storage to the total-revoked storage.
+        with _patched(self, "_exposed_count", self._revoked_count):
             return original_threshold(self, trigger_key)
 
     def _revoke_sensor_with_threshold(self, sensor_id, reason="pinpointed",

@@ -3,8 +3,9 @@
 * :class:`~repro.keys.pool.KeyPool` — the global pool of ``u`` symmetric
   keys plus per-sensor *sensor keys*, all derived from the base station's
   master secret.
-* :class:`~repro.keys.ring.KeyRing` — one sensor's ``r`` pool keys,
-  selected by an announceable per-sensor seed (Eschenauer–Gligor [7]).
+* :class:`~repro.keys.ring.RingTable` — every sensor's ``r`` pool keys
+  as one sorted ``int32`` row, drawn from an announceable per-sensor
+  seed (Eschenauer–Gligor [7]) or supplied by a deterministic scheme.
 * :class:`~repro.keys.registry.KeyRegistry` — the base station's view:
   who holds which pool key, which keys/sensors are revoked, and which
   pool key serves as the *edge key* for a given neighbour pair.
@@ -14,16 +15,16 @@
 
 from .pool import KeyPool
 from .registry import KeyRegistry
-from .ring import KeyRing, ring_seed
+from .ring import RingTable, ring_seed
 from .revocation import RevocationEvent, RevocationState
 from .schemes import PairwiseScheme
 
 __all__ = [
     "KeyPool",
     "KeyRegistry",
-    "KeyRing",
     "PairwiseScheme",
     "RevocationEvent",
     "RevocationState",
+    "RingTable",
     "ring_seed",
 ]

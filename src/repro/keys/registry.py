@@ -16,19 +16,13 @@ base station the candidates are simply the sensor's ring.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import KeyConfig, RevocationConfig
 from ..errors import KeyManagementError
 from .pool import KeyPool
 from .revocation import RevocationEvent, RevocationState
-from .ring import KeyRing, ring_seed
-from .soa import (
-    LazyRingMap,
-    LazySensorKeyMaterial,
-    RingTable,
-    RingTableRevocationState,
-)
+from .ring import RingTable
 
 BASE_STATION_ID = 0
 
@@ -53,39 +47,12 @@ class KeyRegistry:
         self.pool = KeyPool(master_secret, key_config)
         self.num_nodes = num_nodes
         theta = revocation_config.theta if revocation_config is not None else None
-        # Storage backend.  The default Eschenauer–Gligor draw keeps
-        # rings in one shared int32 table (repro.keys.soa) — per-sensor
-        # objects materialize lazily and revocation counters are flat
-        # arrays.  A scheme that supplies explicit rings gets eager
-        # per-sensor ring objects and the dict revocation backend.
-        if ring_indices_factory is None:
-            self.ring_table: Optional[RingTable] = RingTable(
-                master_secret, num_nodes, key_config
-            )
-            self.rings: Dict[int, KeyRing] = LazyRingMap(
-                master_secret, self.pool, self.ring_table
-            )
-            self.revocation = RingTableRevocationState(
-                self.ring_table, theta=theta, cascade=cascade
-            )
-        else:
-            self.ring_table = None
-            self.rings = {
-                sensor_id: KeyRing(
-                    sensor_id,
-                    ring_seed(master_secret, sensor_id),
-                    self.pool,
-                    indices=tuple(ring_indices_factory(sensor_id)),
-                )
-                for sensor_id in range(1, num_nodes)
-            }
-            self.revocation = RevocationState(
-                {sensor: ring.indices for sensor, ring in self.rings.items()},
-                theta=theta,
-                cascade=cascade,
-            )
-        # Rings are immutable for the deployment's lifetime, so the set
-        # intersection behind shared_key_indices is a pure per-edge
+        self.ring_table = RingTable(
+            master_secret, num_nodes, key_config, ring_indices_factory
+        )
+        self.revocation = RevocationState(self.ring_table, theta=theta, cascade=cascade)
+        # Rings are immutable for the deployment's lifetime, so the
+        # candidate list behind shared_key_indices is a pure per-edge
         # constant, memoized per registry instance.
         self._shared_indices_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
@@ -104,10 +71,14 @@ class KeyRegistry:
     # ------------------------------------------------------------------
     # Key lookups
     # ------------------------------------------------------------------
-    def ring(self, sensor_id: int) -> KeyRing:
-        if sensor_id not in self.rings:
-            raise KeyManagementError(f"no ring for node {sensor_id}")
-        return self.rings[sensor_id]
+    def ring(self, sensor_id: int) -> Tuple[int, ...]:
+        """This sensor's pool indices, ascending.
+
+        The sorted order is load-bearing — the binary search of Figure 5
+        runs over "``z_1 < z_2 < ... < z_r``, the index of the r edge
+        keys held by sensor A".
+        """
+        return tuple(self.ring_table.row_list(sensor_id))
 
     def sensor_key(self, sensor_id: int, store: bool = True) -> bytes:
         return self.pool.sensor_key(sensor_id, store=store)
@@ -126,11 +97,7 @@ class KeyRegistry:
         """Whether ``node_id`` holds pool key ``index`` (BS holds all)."""
         if node_id == BASE_STATION_ID:
             return True
-        if self.ring_table is not None:
-            if not 1 <= node_id < self.num_nodes:
-                raise KeyManagementError(f"no ring for node {node_id}")
-            return self.ring_table.holds(node_id, index)
-        return index in self.ring(node_id)
+        return self.ring_table.holds(node_id, index)
 
     # ------------------------------------------------------------------
     # Edge keys
@@ -139,17 +106,13 @@ class KeyRegistry:
         """All pool indices both endpoints hold, sorted (ignores revocation)."""
         if a == b:
             raise KeyManagementError("no edge key between a node and itself")
-        if a == BASE_STATION_ID:
-            return self.ring(b).indices
-        if b == BASE_STATION_ID:
-            return self.ring(a).indices
         edge = (a, b) if a < b else (b, a)
         shared = self._shared_indices_memo.get(edge)
         if shared is None:
-            if self.ring_table is not None:
-                shared = self.ring_table.intersect(a, b)
+            if edge[0] == BASE_STATION_ID:
+                shared = self.ring(edge[1])
             else:
-                shared = self.ring(a).shared_indices(self.ring(b))
+                shared = self.ring_table.intersect(*edge)
             self._shared_indices_memo[edge] = shared
         return shared
 
@@ -200,44 +163,51 @@ class KeyRegistry:
     def sensor_deployment_material(self, sensor_id: int) -> "SensorKeyMaterial":
         """The key material physically stored on one sensor — and hence
         the exact loot an adversary obtains by compromising it."""
-        if self.ring_table is not None:
-            if not 1 <= sensor_id < self.num_nodes:
-                raise KeyManagementError(f"no ring for node {sensor_id}")
-            return LazySensorKeyMaterial(sensor_id, self.pool, self.ring_table)
-        ring = self.ring(sensor_id)
-        return SensorKeyMaterial(
-            sensor_id=sensor_id,
-            sensor_key=self.sensor_key(sensor_id),
-            ring_indices=ring.indices,
-            ring_keys={index: ring.key(index) for index in ring.indices},
-        )
+        if not 1 <= sensor_id < self.num_nodes:
+            raise KeyManagementError(f"no ring for node {sensor_id}")
+        return SensorKeyMaterial(sensor_id, self.pool, self.ring_table)
 
 
 class SensorKeyMaterial:
-    """Immutable bundle of the keys stored on a single sensor."""
+    """The keys stored on a single sensor, served from the ring table.
 
-    def __init__(
-        self,
-        sensor_id: int,
-        sensor_key: bytes,
-        ring_indices: Sequence[int],
-        ring_keys: Dict[int, bytes],
-    ) -> None:
+    Stores nothing per sensor beyond the memoized sensor key: ring
+    indices come from the table row and key bytes from the pool PRF on
+    demand.  ``all_keys`` still returns the full loot dict (what an
+    adversary extracts from a captured node) — built per call.
+    """
+
+    __slots__ = ("sensor_id", "_pool", "_table", "_sensor_key")
+
+    def __init__(self, sensor_id: int, pool: KeyPool, table: RingTable) -> None:
         self.sensor_id = sensor_id
-        self.sensor_key = sensor_key
-        self.ring_indices = tuple(ring_indices)
-        self._ring_keys = dict(ring_keys)
+        self._pool = pool
+        self._table = table
+        self._sensor_key: Optional[bytes] = None
+
+    @property
+    def sensor_key(self) -> bytes:
+        if self._sensor_key is None:
+            self._sensor_key = self._pool.sensor_key(self.sensor_id)
+        return self._sensor_key
+
+    @property
+    def ring_indices(self) -> Tuple[int, ...]:
+        return tuple(self._table.row_list(self.sensor_id))
 
     def holds(self, index: int) -> bool:
-        return index in self._ring_keys
+        return self._table.holds(self.sensor_id, index)
 
     def key(self, index: int) -> bytes:
-        if index not in self._ring_keys:
+        if not self._table.holds(self.sensor_id, index):
             raise KeyManagementError(
                 f"sensor {self.sensor_id} material does not include pool key {index}"
             )
-        return self._ring_keys[index]
+        return self._pool.pool_key(index)
 
     @property
     def all_keys(self) -> Dict[int, bytes]:
-        return dict(self._ring_keys)
+        return {
+            index: self._pool.pool_key(index)
+            for index in self._table.row_list(self.sensor_id)
+        }

@@ -8,22 +8,22 @@ than ``theta`` pool keys with the adversary's combined rings can be
 framed.  Figure 7 of the paper — reproduced in
 :mod:`repro.analysis.misrevocation` — quantifies that trade-off.
 
-The revoke/threshold logic lives here once; storage is pluggable.  The
-default backend keeps the original dicts (``{sensor: ring}``, inverted
-holder lists, per-sensor counters) and is the reference semantics.
-:class:`repro.keys.soa.RingTableRevocationState` overrides the small
-storage hooks (``_ring_of``, ``_holder_ids``, ``_bump``,
-``_due_sensors`` and friends) to run the same algorithm over shared
-``int32`` arrays — event logs are identical between the two because the
-control flow never forks.
+State lives beside the deployment's :class:`~repro.keys.ring.RingTable`:
+rings are its rows, per-sensor revoked/exposed counters are flat
+``int64`` arrays indexed by sensor id, and the inverted holder index is
+a CSR built lazily on the first revocation (honest large-scale runs
+never pay for it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Literal, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Literal, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import RevocationError
+from .ring import RingTable
 
 RevocationKind = Literal["key", "sensor"]
 
@@ -45,8 +45,8 @@ class RevocationState:
 
     Parameters
     ----------
-    rings:
-        ``{sensor_id: sorted pool indices}`` for every deployed sensor.
+    table:
+        The deployment's rings, one sorted row per sensor.
     theta:
         Threshold of *exposed* ring keys at which a sensor is revoked in
         full.  ``None`` disables the rule (pure per-key revocation, the
@@ -62,74 +62,43 @@ class RevocationState:
     """
 
     def __init__(
-        self,
-        rings: Mapping[int, Sequence[int]],
-        theta: Optional[int] = None,
-        cascade: bool = False,
+        self, table: RingTable, theta: Optional[int] = None, cascade: bool = False
     ) -> None:
-        self._init_scalars(theta, cascade)
-        self._rings: Dict[int, Tuple[int, ...]] = {
-            sensor: tuple(indices) for sensor, indices in rings.items()
-        }
-        self._holders: Dict[int, List[int]] = {}
-        for sensor, indices in self._rings.items():
-            for index in indices:
-                self._holders.setdefault(index, []).append(sensor)
-        for holders in self._holders.values():
-            holders.sort()
-        # Total revoked keys per ring (any reason) vs keys *exposed* by
-        # individual revocations — only the latter feed the θ rule when
-        # cascade is off.
-        self._revoked_count: Dict[int, int] = {sensor: 0 for sensor in self._rings}
-        self._exposed_count: Dict[int, int] = {sensor: 0 for sensor in self._rings}
-
-    def _init_scalars(self, theta: Optional[int], cascade: bool) -> None:
-        """Backend-independent state; subclasses call this instead of
-        ``__init__`` and provide their own ring/holder/counter storage."""
         if theta is not None and theta < 1:
             raise RevocationError("theta must be >= 1 when set")
         self.theta = theta
         self.cascade = cascade
+        self._table = table
         self._revoked_keys: Set[int] = set()
         self._revoked_sensors: Set[int] = set()
         self.log: List[RevocationEvent] = []
+        # Total revoked keys per ring (any reason) vs keys *exposed* by
+        # individual revocations — only the latter feed the θ rule when
+        # cascade is off.  Slot 0 (the base station) never counts.
+        self._revoked_count = np.zeros(table.num_nodes, dtype=np.int64)
+        self._exposed_count = np.zeros(table.num_nodes, dtype=np.int64)
+        self._csr: "Optional[Tuple[np.ndarray, np.ndarray]]" = None
 
-    # ------------------------------------------------------------------
-    # Storage hooks (overridden by array-backed states)
-    # ------------------------------------------------------------------
-    def _known_sensor(self, sensor_id: int) -> bool:
-        return sensor_id in self._rings
+    def _holder_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._csr is None:
+            table = self._table
+            flat = table.rows.ravel()
+            order = np.argsort(flat, kind="stable")
+            # Stable sort keeps equal keys in row order, i.e. ascending
+            # sensor ids.
+            holders = (order // table.ring_size + 1).astype(np.int32)
+            indptr = np.searchsorted(flat[order], np.arange(table.pool_size + 1))
+            self._csr = (indptr, holders)
+        return self._csr
 
-    def _ring_of(self, sensor_id: int) -> Sequence[int]:
-        """This sensor's sorted ring indices (Python ints)."""
-        return self._rings[sensor_id]
-
-    def _holder_ids(self, index: int) -> Sequence[int]:
-        """Ascending sensor ids holding pool key ``index``."""
-        return self._holders.get(index, ())
-
-    def _bump(self, sensors: Iterable[int], exposed: bool) -> None:
-        """Count one revoked (and possibly exposed) key against each
-        holder; ids are distinct within one call."""
-        for sensor in sensors:
-            self._revoked_count[sensor] += 1
-            if exposed:
-                self._exposed_count[sensor] += 1
-
-    def _revoked_count_of(self, sensor_id: int) -> int:
-        return self._revoked_count[sensor_id]
-
-    def _exposed_count_of(self, sensor_id: int) -> int:
-        return self._exposed_count[sensor_id]
+    def _check_sensor(self, sensor_id: int) -> None:
+        if not 1 <= sensor_id < self._table.num_nodes:
+            raise RevocationError(f"unknown sensor {sensor_id}")
 
     def _due_sensors(self) -> List[int]:
-        """Unrevoked sensors at/over θ by exposed count, in deployment
-        order (registry-built states enumerate sensors ascending)."""
-        return [
-            sensor
-            for sensor, count in self._exposed_count.items()
-            if count >= self.theta and sensor not in self._revoked_sensors
-        ]
+        """Unrevoked sensors at/over θ by exposed count, ascending."""
+        due = np.nonzero(self._exposed_count >= self.theta)[0]
+        return [s for s in due.tolist() if s not in self._revoked_sensors]
 
     # ------------------------------------------------------------------
     # Queries
@@ -150,20 +119,21 @@ class RevocationState:
 
     def revoked_ring_count(self, sensor_id: int) -> int:
         """How many of this sensor's ring keys are currently revoked."""
-        if not self._known_sensor(sensor_id):
-            raise RevocationError(f"unknown sensor {sensor_id}")
-        return self._revoked_count_of(sensor_id)
+        self._check_sensor(sensor_id)
+        return int(self._revoked_count[sensor_id])
 
     def exposed_ring_count(self, sensor_id: int) -> int:
         """How many of this sensor's ring keys were individually exposed
         (the count the θ rule uses under no-cascade semantics)."""
-        if not self._known_sensor(sensor_id):
-            raise RevocationError(f"unknown sensor {sensor_id}")
-        return self._exposed_count_of(sensor_id)
+        self._check_sensor(sensor_id)
+        return int(self._exposed_count[sensor_id])
 
     def holders_of(self, index: int) -> Tuple[int, ...]:
         """Sorted sensor ids holding pool key ``index`` (revoked or not)."""
-        return tuple(self._holder_ids(index))
+        if not 0 <= index < self._table.pool_size:
+            return ()
+        indptr, holders = self._holder_csr()
+        return tuple(holders[indptr[index] : indptr[index + 1]].tolist())
 
     # ------------------------------------------------------------------
     # Mutations
@@ -172,8 +142,13 @@ class RevocationState:
         """Revoke one pool key; apply the θ rule.  Idempotent.
 
         Returns the list of events this action produced (possibly empty
-        when the key was already revoked).
+        when the key was already revoked).  An index outside the pool is
+        rejected.
         """
+        if not 0 <= index < self._table.pool_size:
+            raise RevocationError(
+                f"pool key {index} outside the pool [0, {self._table.pool_size})"
+            )
         if index in self._revoked_keys:
             return []
         events = [RevocationEvent(kind="key", target=index, reason=reason)]
@@ -193,8 +168,7 @@ class RevocationState:
         Idempotent.  The induced key revocations trigger further sensor
         revocations only under ``cascade=True``.
         """
-        if not self._known_sensor(sensor_id):
-            raise RevocationError(f"unknown sensor {sensor_id}")
+        self._check_sensor(sensor_id)
         if sensor_id in self._revoked_sensors:
             return []
         events = self._revoke_sensor_direct(sensor_id, reason, triggered_by_key)
@@ -216,7 +190,7 @@ class RevocationState:
         self._revoked_sensors.add(sensor_id)
         self.log.append(event)
         events = [event]
-        for index in self._ring_of(sensor_id):
+        for index in self._table.row_list(sensor_id):
             if index not in self._revoked_keys:
                 key_event = RevocationEvent(
                     kind="key", target=index, reason=f"ring of sensor {sensor_id}"
@@ -227,8 +201,13 @@ class RevocationState:
         return events
 
     def _apply_key(self, index: int, exposed: bool) -> None:
+        """Mark ``index`` revoked and count it against every holder."""
         self._revoked_keys.add(index)
-        self._bump(self._holder_ids(index), exposed)
+        indptr, holders = self._holder_csr()
+        ids = holders[indptr[index] : indptr[index + 1]]
+        self._revoked_count[ids] += 1
+        if exposed:
+            self._exposed_count[ids] += 1
 
     def _run_threshold(self, trigger_key: Optional[int]) -> List[RevocationEvent]:
         """Revoke every sensor whose *exposed* count is at/over θ.

@@ -7,27 +7,26 @@ the paper leans on for cheap bulk revocation: "To revoke all of A's edge
 keys, the base station only needs to announce the associated random seed
 used for the selection" (Section VI-A).
 
-Two storage backends share the :class:`KeyRing` API:
-
-* the default **object** backend materializes the sorted index tuple and
-  a frozenset per ring (exact reference semantics, used whenever the
-  perf layer is disabled);
-* the **table** backend defers to a shared
-  :class:`repro.keys.soa.RingTable` row — one ``int32`` array row per
-  sensor instead of ~3 KB of boxed Python ints — and answers membership
-  by binary search.  Large-topology registries use it; the values it
-  returns are byte-identical to the object backend by construction.
+Every ring of a deployment lives in one :class:`RingTable`: a single
+``(num_sensors, ring_size)`` ``int32`` array, one sorted row per sensor
+(4 bytes per held key; at 10k nodes per-sensor tuples, frozensets and
+``{index: key}`` dicts cost ~200 MiB).  Rows come from the seed draw or,
+for deterministic schemes (:mod:`repro.keys.schemes`), from an explicit
+``ring_indices_factory``; either way the rest of the key layer sees the
+same table.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..config import KeyConfig
 from ..crypto.prf import derive_key, sample_distinct_indices
 from ..errors import KeyManagementError
 from ..perf.cache import LRUCache
-from .pool import KeyPool
+from ..perf.shard import fork_map, regions, shard_count
 
 #: Ring seeds keyed by ``(master, sensor_id)`` and expanded selections
 #: keyed by ``(seed, pool_size, ring_size)``.  Every fresh deployment in
@@ -39,6 +38,11 @@ from .pool import KeyPool
 #: misses, 0 hits), pure bookkeeping overhead.
 _RING_SEEDS = LRUCache("ring-seeds", maxsize=16384)
 _RING_SELECTIONS = LRUCache("ring-selections", maxsize=4096)
+
+#: Read-only state handed to edge-key fork workers by copy-on-write
+#: inheritance (set immediately before the pool forks, cleared after).
+#: Fork workers see the parent's arrays without pickling them.
+_EDGE_STATE: "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]" = None
 
 
 def ring_caches_fit(num_sensors: int) -> bool:
@@ -79,81 +83,163 @@ def ring_indices_from_seed(
     return list(indices)
 
 
-class KeyRing:
-    """One sensor's ring: sorted pool indices + the key bytes themselves.
+def _ring_rows_region(args: Tuple[bytes, int, int, int, int]) -> bytes:
+    """Rows for sensors ``[start, stop)`` as raw ``int32`` bytes.
 
-    The sorted order of :attr:`indices` is load-bearing — the binary
-    search of Figure 5 runs over "``z_1 < z_2 < ... < z_r``, the index of
-    the r edge keys held by sensor A".
+    Pure function of the master secret — it re-derives each ring seed
+    directly (no process-global caches, which a fork worker could not
+    share back anyway) and runs the exact reference sampler, so the row
+    bytes are identical no matter which process computed them.
+    """
+    master_secret, pool_size, ring_size, start, stop = args
+    out = np.empty((stop - start, ring_size), dtype=np.int32)
+    for offset, sensor_id in enumerate(range(start, stop)):
+        seed = derive_key(master_secret, "ring-seed", sensor_id, length=16)
+        out[offset] = sample_distinct_indices(seed, pool_size, ring_size)
+    return out.tobytes()
+
+
+def _edge_keys_region(args: Tuple[int, int]) -> bytes:
+    """Deployment-time edge keys for edge slots ``[start, stop)``.
+
+    Reads ``_EDGE_STATE`` (rows + endpoint arrays) copy-on-write.  The
+    edge key at epoch zero is the lowest shared pool index — for a base
+    station link, the sensor's lowest ring index — or ``-1`` when the
+    endpoints share nothing.
+    """
+    start, stop = args
+    rows, heads, tails = _EDGE_STATE
+    out = np.empty(stop - start, dtype=np.int32)
+    for offset, slot in enumerate(range(start, stop)):
+        a = heads[slot]
+        b = tails[slot]
+        if a == 0:
+            out[offset] = rows[b - 1, 0]
+        elif b == 0:
+            out[offset] = rows[a - 1, 0]
+        else:
+            shared = np.intersect1d(rows[a - 1], rows[b - 1], assume_unique=True)
+            out[offset] = shared[0] if shared.size else -1
+    return out.tobytes()
+
+
+class RingTable:
+    """All ring selections of one deployment as a single ``int32`` array.
+
+    Row ``sensor_id - 1`` holds sensor ``sensor_id``'s sorted pool
+    indices (the base station, id 0, holds every key and has no row).
+    ``ring_indices_factory(sensor_id)``, when given, supplies each row
+    instead of the seed draw; it must return ``ring_size`` distinct
+    indices in ``[0, pool_size)``.
     """
 
     def __init__(
         self,
-        sensor_id: int,
-        seed: bytes,
-        pool: KeyPool,
-        indices: "Tuple[int, ...] | None" = None,
-        table=None,
+        master_secret: bytes,
+        num_nodes: int,
+        config: KeyConfig,
+        ring_indices_factory: Optional[Callable[[int], Sequence[int]]] = None,
     ) -> None:
-        self.sensor_id = sensor_id
-        self.seed = seed
-        self._pool = pool
-        # ``table`` points this ring at a shared RingTable row instead of
-        # materializing per-ring containers; explicit ``indices`` support
-        # deterministic schemes (e.g. pairwise, see repro.keys.schemes);
-        # the default is the seed-derived Eschenauer–Gligor draw.
-        self._table = table if indices is None else None
-        self._indices: Optional[Tuple[int, ...]] = None
-        self._index_set: Optional[FrozenSet[int]] = None
-        if self._table is None:
-            self._indices = (
-                tuple(sorted(indices))
-                if indices is not None
-                else tuple(ring_indices_from_seed(seed, pool.config))
-            )
-            self._index_set = frozenset(self._indices)
+        self.num_nodes = num_nodes
+        self.pool_size = config.pool_size
+        self.ring_size = config.ring_size
+        if ring_indices_factory is None:
+            self.rows = self._seed_rows(master_secret, num_nodes - 1, config)
+        else:
+            self.rows = self._explicit_rows(ring_indices_factory, num_nodes - 1)
 
-    @property
-    def indices(self) -> Tuple[int, ...]:
-        if self._indices is None:
-            self._indices = tuple(self._table.row_list(self.sensor_id))
-        return self._indices
+    def _seed_rows(
+        self, master_secret: bytes, num_sensors: int, config: KeyConfig
+    ) -> np.ndarray:
+        if num_sensors <= 0:
+            return np.empty((0, self.ring_size), dtype=np.int32)
+        if ring_caches_fit(num_sensors):
+            # Small deployment: go through the seed/selection caches so
+            # Monte-Carlo rebuilds of the same master secret still hit.
+            out = np.empty((num_sensors, self.ring_size), dtype=np.int32)
+            for sensor_id in range(1, num_sensors + 1):
+                seed = ring_seed(master_secret, sensor_id)
+                out[sensor_id - 1] = ring_indices_from_seed(seed, config)
+            return out
+        # Large deployment: bypass the caches (every lookup would be a
+        # one-shot miss) and fan the derivation out over id regions.
+        shards = shard_count(num_sensors)
+        parts = regions(num_sensors, shards)
+        chunks = fork_map(
+            _ring_rows_region,
+            [
+                (master_secret, self.pool_size, self.ring_size, start + 1, stop + 1)
+                for start, stop in parts
+            ],
+            shards,
+        )
+        flat = np.frombuffer(b"".join(chunks), dtype=np.int32)
+        return flat.reshape(num_sensors, self.ring_size).copy()
 
-    def __len__(self) -> int:
-        if self._table is not None:
-            return self._table.ring_size
-        return len(self._indices)
+    def _explicit_rows(
+        self, factory: Callable[[int], Sequence[int]], num_sensors: int
+    ) -> np.ndarray:
+        out = np.empty((num_sensors, self.ring_size), dtype=np.int32)
+        for sensor_id in range(1, num_sensors + 1):
+            row = sorted(factory(sensor_id))
+            if len(row) != self.ring_size:
+                raise KeyManagementError(
+                    f"ring of sensor {sensor_id} has {len(row)} keys, "
+                    f"expected ring_size={self.ring_size}"
+                )
+            if len(set(row)) != len(row):
+                raise KeyManagementError(f"ring of sensor {sensor_id} repeats a key")
+            if row[0] < 0 or row[-1] >= self.pool_size:
+                raise KeyManagementError(
+                    f"ring of sensor {sensor_id} leaves the pool [0, {self.pool_size})"
+                )
+            out[sensor_id - 1] = row
+        return out
 
-    def __contains__(self, pool_index: int) -> bool:
-        return self.holds(pool_index)
+    # ------------------------------------------------------------------
+    # Row access
+    # ------------------------------------------------------------------
+    def _row(self, sensor_id: int) -> np.ndarray:
+        if not 1 <= sensor_id < self.num_nodes:
+            raise KeyManagementError(f"no ring for node {sensor_id}")
+        return self.rows[sensor_id - 1]
 
-    def holds(self, pool_index: int) -> bool:
-        if self._index_set is not None:
-            return pool_index in self._index_set
-        return self._table.holds(self.sensor_id, pool_index)
+    def row_list(self, sensor_id: int) -> List[int]:
+        """This sensor's sorted ring indices as Python ints."""
+        return self._row(sensor_id).tolist()
 
-    def key(self, pool_index: int) -> bytes:
-        """Key bytes for a pool index this sensor holds."""
-        if not self.holds(pool_index):
-            raise KeyManagementError(
-                f"sensor {self.sensor_id} does not hold pool key {pool_index}"
-            )
-        return self._pool.pool_key(pool_index)
+    def holds(self, sensor_id: int, pool_index: int) -> bool:
+        row = self._row(sensor_id)
+        position = int(np.searchsorted(row, pool_index))
+        return position < self.ring_size and int(row[position]) == pool_index
 
-    def shared_indices(self, other: "KeyRing") -> Tuple[int, ...]:
-        """Sorted pool indices present in both rings (candidate edge keys)."""
-        if self._table is not None and other._table is self._table:
-            return self._table.intersect(self.sensor_id, other.sensor_id)
-        if self._index_set is not None and other._index_set is not None:
-            return tuple(sorted(self._index_set & other._index_set))
-        return tuple(sorted(set(self.indices) & set(other.indices)))
+    def intersect(self, a: int, b: int) -> Tuple[int, ...]:
+        """Sorted shared pool indices of two sensors, as Python ints."""
+        shared = np.intersect1d(self._row(a), self._row(b), assume_unique=True)
+        return tuple(shared.tolist())
 
-    def rank_of(self, pool_index: int) -> int:
-        """Position (0-based) of ``pool_index`` in this ring's sorted order."""
-        if not self.holds(pool_index):
-            raise KeyManagementError(
-                f"sensor {self.sensor_id} does not hold pool key {pool_index}"
-            )
-        if self._table is not None:
-            return self._table.rank_of(self.sensor_id, pool_index)
-        return self._indices.index(pool_index)
+    # ------------------------------------------------------------------
+    # Bulk edge-key computation (secure-topology build)
+    # ------------------------------------------------------------------
+    def edge_keys(self, heads: Sequence[int], tails: Sequence[int]) -> np.ndarray:
+        """Epoch-zero edge key index per ``(heads[i], tails[i])`` link,
+        ``-1`` where the endpoints share no pool key.
+
+        Region-sharded over fork workers; rows and endpoint arrays reach
+        the workers copy-on-write, results concatenate in region order.
+        Only valid while nothing is revoked (callers with a nonzero
+        revocation epoch must use the registry's per-edge path).
+        """
+        global _EDGE_STATE
+        heads_arr = np.ascontiguousarray(heads, dtype=np.int32)
+        tails_arr = np.ascontiguousarray(tails, dtype=np.int32)
+        count = int(heads_arr.shape[0])
+        parts = regions(count, shard_count(count))
+        if not parts:
+            return np.empty(0, dtype=np.int32)
+        _EDGE_STATE = (self.rows, heads_arr, tails_arr)
+        try:
+            chunks = fork_map(_edge_keys_region, parts, len(parts))
+        finally:
+            _EDGE_STATE = None
+        return np.frombuffer(b"".join(chunks), dtype=np.int32).copy()

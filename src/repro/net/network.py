@@ -690,7 +690,7 @@ class Network:
         if self._adversary_pool_indices is None:
             indices: Set[int] = set()
             for node_id in self.malicious_ids:
-                indices.update(self.registry.ring(node_id).indices)
+                indices.update(self.registry.ring(node_id))
             self._adversary_pool_indices = frozenset(indices)
         return self._adversary_pool_indices
 
@@ -705,7 +705,7 @@ class Network:
             return True
         if sender in self.malicious_ids:
             return key_index in self.adversary_pool_indices()
-        return key_index in self.registry.ring(sender)
+        return self.registry.node_holds(sender, key_index)
 
     @property
     def honest_ids(self) -> List[int]:
@@ -963,12 +963,13 @@ class _SecureTopologyView:
         # Transient (a < b) edge -> current-key map feeding the CSR fill
         # below; freed when __init__ returns.
         edge_key: Dict[Tuple[int, int], Optional[int]] = {}
-        table = getattr(registry, "ring_table", None)
-        if table is not None and registry.revocation_epoch == 0 and edges:
+        if registry.revocation_epoch == 0 and edges:
             # Nothing revoked yet: every edge key is the epoch-zero
             # first-shared index, computed in bulk over region-sharded
             # fork workers instead of one ring intersection per edge.
-            bulk = table.edge_keys([e[0] for e in edges], [e[1] for e in edges])
+            bulk = registry.ring_table.edge_keys(
+                [e[0] for e in edges], [e[1] for e in edges]
+            )
             for edge, index in zip(edges, bulk.tolist()):
                 edge_key[edge] = None if index < 0 else index
         else:

@@ -28,7 +28,7 @@ class TestLootBoundaries:
     def test_loot_is_exactly_compromised_material(self, attacked):
         dep, adv = attacked
         assert set(adv.loot) == {3, 8}
-        expected = set(dep.registry.ring(3).indices) | set(dep.registry.ring(8).indices)
+        expected = set(dep.registry.ring(3)) | set(dep.registry.ring(8))
         assert set(adv.pooled_keys) == expected
         assert dep.network.adversary_pool_indices() == frozenset(expected)
 

@@ -91,13 +91,13 @@ class TestFigure7:
         assert abs(mc - analytic) <= max(tolerance, 0.5 * max(analytic, 0.2))
 
     def test_pure_python_fallback_agrees(self):
-        a = misrevocation_trials(300, 2, [4, 8], trials=10, seed=5, use_numpy=True)
-        b = misrevocation_trials(300, 2, [4, 8], trials=10, seed=5, use_numpy=False)
-        # Different RNG streams, same distribution: crude agreement.
-        for theta in (4, 8):
-            assert abs(a.avg_misrevoked[theta] - b.avg_misrevoked[theta]) < max(
-                3.0, 0.8 * max(a.avg_misrevoked[theta], 1.0)
-            )
+        """The same seed gives an identical ``per_trial``.  (The pure-Python
+        fallback this once compared against is gone; the name is kept so
+        the test keeps its identity.)"""
+        a = misrevocation_trials(300, 2, [4, 8], trials=10, seed=5)
+        b = misrevocation_trials(300, 2, [4, 8], trials=10, seed=5)
+        assert a.per_trial == b.per_trial
+        assert misrevocation_trials(300, 2, [4, 8], trials=10, seed=6).per_trial != a.per_trial
 
     def test_rejects_degenerate_population(self):
         with pytest.raises(ConfigError):

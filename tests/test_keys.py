@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import build_deployment
 from repro.config import KeyConfig, RevocationConfig
-from repro.errors import KeyManagementError
-from repro.keys import KeyPool, KeyRegistry, KeyRing, ring_seed
+from repro.errors import KeyManagementError, RevocationError
+from repro.keys import KeyPool, KeyRegistry, ring_seed
+from repro.keys.ring import ring_indices_from_seed
 
 CFG = KeyConfig(pool_size=200, ring_size=40)
 
@@ -46,52 +48,64 @@ class TestKeyPool:
 
 
 class TestKeyRing:
+    """Ring selection (:func:`ring_indices_from_seed`) and a sensor's ring
+    as the registry and its deployment material expose it."""
+
     def test_ring_selection_from_seed(self, pool):
-        ring = KeyRing(1, ring_seed(b"master", 1), pool)
+        """The seed draw yields ``ring_size`` distinct, sorted indices."""
+        ring = ring_indices_from_seed(ring_seed(b"master", 1), CFG)
         assert len(ring) == CFG.ring_size
-        assert list(ring.indices) == sorted(set(ring.indices))
+        assert ring == sorted(set(ring))
 
     def test_same_seed_same_ring(self, pool):
-        a = KeyRing(1, ring_seed(b"master", 1), pool)
-        b = KeyRing(99, ring_seed(b"master", 1), pool)
-        assert a.indices == b.indices
+        """A ring is a function of its seed alone, not of the sensor id."""
+        seed = ring_seed(b"master", 1)
+        assert ring_indices_from_seed(seed, CFG) == ring_indices_from_seed(
+            seed, CFG, cache=False
+        )
+        registry = KeyRegistry(b"master", num_nodes=3, key_config=CFG)
+        assert list(registry.ring(1)) == ring_indices_from_seed(seed, CFG)
 
     def test_different_sensors_different_rings(self, pool):
-        a = KeyRing(1, ring_seed(b"master", 1), pool)
-        b = KeyRing(2, ring_seed(b"master", 2), pool)
-        assert a.indices != b.indices
+        """Different sensors' seeds select different rings."""
+        a = ring_indices_from_seed(ring_seed(b"master", 1), CFG)
+        b = ring_indices_from_seed(ring_seed(b"master", 2), CFG)
+        assert a != b
 
-    def test_holds_and_key_access(self, pool):
-        ring = KeyRing(1, ring_seed(b"master", 1), pool)
-        index = ring.indices[0]
-        assert ring.holds(index)
-        assert ring.key(index) == pool.pool_key(index)
+    def test_holds_and_key_access(self, registry, pool):
+        """Registry membership and material key bytes agree with the pool."""
+        index = registry.ring(1)[0]
+        assert registry.node_holds(1, index)
+        assert registry.sensor_deployment_material(1).key(index) == pool.pool_key(index)
 
-    def test_key_access_denied_outside_ring(self, pool):
-        ring = KeyRing(1, ring_seed(b"master", 1), pool)
-        outside = next(i for i in range(CFG.pool_size) if i not in ring)
+    def test_key_access_denied_outside_ring(self, registry):
+        """Material refuses a pool key outside the sensor's ring."""
+        outside = next(i for i in range(CFG.pool_size) if i not in registry.ring(1))
+        assert not registry.node_holds(1, outside)
         with pytest.raises(KeyManagementError):
-            ring.key(outside)
+            registry.sensor_deployment_material(1).key(outside)
 
-    def test_shared_indices_symmetric(self, pool):
-        a = KeyRing(1, ring_seed(b"master", 1), pool)
-        b = KeyRing(2, ring_seed(b"master", 2), pool)
-        assert a.shared_indices(b) == b.shared_indices(a)
-        for index in a.shared_indices(b):
-            assert index in a and index in b
+    def test_shared_indices_symmetric(self, registry):
+        """Shared indices are symmetric and held by both endpoints."""
+        assert registry.shared_key_indices(1, 2) == registry.shared_key_indices(2, 1)
+        for index in registry.shared_key_indices(1, 2):
+            assert index in registry.ring(1) and index in registry.ring(2)
 
-    def test_rank_of(self, pool):
-        ring = KeyRing(1, ring_seed(b"master", 1), pool)
-        assert ring.rank_of(ring.indices[5]) == 5
+    def test_rank_of(self, registry):
+        """A ring is the sorted index tuple, so position is rank."""
+        ring = registry.ring(1)
+        assert isinstance(ring, tuple)
+        assert list(ring) == sorted(ring)
+        assert ring.index(ring[5]) == 5
 
 
 class TestKeyRegistry:
     def test_holders_consistent_with_rings(self, registry):
-        for index in registry.ring(1).indices:
+        for index in registry.ring(1):
             assert 1 in registry.holders(index)
 
     def test_holders_sorted(self, registry):
-        index = registry.ring(1).indices[0]
+        index = registry.ring(1)[0]
         holders = registry.holders(index)
         assert list(holders) == sorted(holders)
 
@@ -104,7 +118,7 @@ class TestKeyRegistry:
             assert registry.edge_key_index(1, 2) == shared[0]
 
     def test_edge_key_with_base_station_uses_sensor_ring(self, registry):
-        assert registry.edge_key_index(0, 3) == registry.ring(3).indices[0]
+        assert registry.edge_key_index(0, 3) == registry.ring(3)[0]
 
     def test_edge_key_skips_revoked(self, registry):
         shared = registry.shared_key_indices(1, 2)
@@ -130,7 +144,7 @@ class TestKeyRegistry:
     def test_deployment_material_matches_registry(self, registry):
         material = registry.sensor_deployment_material(4)
         assert material.sensor_key == registry.sensor_key(4)
-        assert material.ring_indices == registry.ring(4).indices
+        assert material.ring_indices == registry.ring(4)
         for index in material.ring_indices:
             assert material.key(index) == registry.pool_key(index)
 
@@ -139,6 +153,14 @@ class TestKeyRegistry:
         outside = next(i for i in range(CFG.pool_size) if not material.holds(i))
         with pytest.raises(KeyManagementError):
             material.key(outside)
+
+    @pytest.mark.parametrize("index", [10**9, -5])
+    def test_revoke_key_rejects_out_of_range_index(self, index):
+        registry = build_deployment(num_nodes=10, seed=1).registry
+        with pytest.raises(RevocationError):
+            registry.revoke_key(index)
+        assert registry.revocation_epoch == 0
+        assert registry.revoked_keys == frozenset()
 
     def test_rejects_tiny_deployment(self):
         with pytest.raises(KeyManagementError):

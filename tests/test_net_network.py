@@ -107,7 +107,7 @@ class TestKeyPossession:
         dep = build_deployment(num_nodes=10, seed=1, malicious_ids={2, 3})
         net = dep.network
         # A key from 3's ring, usable by 2 (colluding loot).
-        key = dep.registry.ring(3).indices[0]
+        key = dep.registry.ring(3)[0]
         target = list(net.topology.neighbors(2))[0]
         phase = net.new_phase("t", 2)
         phase.begin_interval(1)

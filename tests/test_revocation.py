@@ -5,12 +5,22 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import KeyConfig
 from repro.errors import RevocationError
 from repro.keys.revocation import RevocationState
+from repro.keys.ring import RingTable
+
+POOL_SIZE = 64
 
 
 def make_state(rings, theta=None, cascade=False):
-    return RevocationState(rings, theta=theta, cascade=cascade)
+    """A state over ``rings`` (``{1: [...], ..., n: [...]}``, all of one
+    length), stored as the rows of a ring table."""
+    config = KeyConfig(pool_size=POOL_SIZE, ring_size=len(rings[1]))
+    table = RingTable(
+        b"revocation-tests", len(rings) + 1, config, ring_indices_factory=rings.__getitem__
+    )
+    return RevocationState(table, theta=theta, cascade=cascade)
 
 
 class TestBasicRevocation:
@@ -28,7 +38,7 @@ class TestBasicRevocation:
         assert state.revoke_key(10) == []
 
     def test_revoke_sensor_revokes_whole_ring(self):
-        state = make_state({1: [10, 11, 12], 2: [12, 13]})
+        state = make_state({1: [10, 11, 12], 2: [12, 13, 40]})
         events = state.revoke_sensor(1)
         assert state.is_sensor_revoked(1)
         assert state.revoked_keys == {10, 11, 12}
@@ -117,7 +127,7 @@ class TestThresholdRule:
 
     def test_cascade_chains_transitively(self):
         rings = {
-            1: [1, 2],
+            1: [1, 2, 40],
             2: [1, 2, 3],  # shares both of 1's keys -> falls, exposing 3
             3: [2, 3, 4],  # now has 2 and 3 revoked -> falls, exposing 4
             4: [3, 4, 5],  # now has 3 and 4 revoked -> falls
@@ -151,9 +161,10 @@ class TestRevocationProperties:
         """After any sequence of key revocations, every unrevoked sensor
         is strictly below θ *unless* it crossed only via ring-induced
         revocations (no-cascade semantics)."""
+        size = data.draw(st.integers(1, 8))
         rings = {
             sensor: data.draw(
-                st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True)
+                st.lists(st.integers(0, 30), min_size=size, max_size=size, unique=True)
             )
             for sensor in range(1, 6)
         }
@@ -170,7 +181,7 @@ class TestRevocationProperties:
     @settings(max_examples=30, deadline=None)
     @given(keys=st.lists(st.integers(0, 20), max_size=15))
     def test_counts_match_ground_truth(self, keys):
-        rings = {1: [0, 1, 2, 3], 2: [2, 3, 4, 5], 3: [10, 11]}
+        rings = {1: [0, 1, 2, 3], 2: [2, 3, 4, 5], 3: [10, 11, 40, 41]}
         state = make_state(rings, theta=None)
         for key in keys:
             state.revoke_key(key)

@@ -98,6 +98,21 @@ def test_sharding_partitions_honest_sensors():
         spec.hosted_ids(3)
 
 
+@pytest.mark.parametrize("index", [10**9, -5])
+def test_node_host_rejects_out_of_range_key_revocation(index):
+    """A ``revoke`` control record naming a key outside the pool is an
+    error (reported to the coordinator), not a silent state change."""
+    import asyncio
+
+    from repro.errors import RevocationError
+    from repro.service.node import NodeHost
+
+    host = NodeHost(ServiceSpec(num_nodes=8, processes=2, seed=1), 0)
+    with pytest.raises(RevocationError):
+        asyncio.run(host._dispatch(("revoke", "key", index, "malformed")))
+    assert host.network.registry.revocation_epoch == 0
+
+
 # ----------------------------------------------------------------------
 # Deployment generator
 # ----------------------------------------------------------------------
