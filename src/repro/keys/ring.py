@@ -14,6 +14,12 @@ Every ring of a deployment lives in one :class:`RingTable`: a single
 for deterministic schemes (:mod:`repro.keys.schemes`), from an explicit
 ``ring_indices_factory``; either way the rest of the key layer sees the
 same table.
+
+Seed draws are built in bulk by
+:func:`repro.crypto.prf.sample_distinct_rows`, which reproduces the
+single-seed reference :func:`repro.crypto.prf.sample_distinct_indices`
+(CPython's ``random.Random(seed).sample``) row for row from one
+Mersenne-Twister word stream per sensor.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import KeyConfig
-from ..crypto.prf import derive_key, sample_distinct_indices
+from ..crypto.prf import derive_key, sample_distinct_indices, sample_distinct_rows
 from ..errors import KeyManagementError
 from ..perf.cache import LRUCache
 from ..perf.shard import fork_map, regions, shard_count
@@ -83,20 +89,21 @@ def ring_indices_from_seed(
     return list(indices)
 
 
-def _ring_rows_region(args: Tuple[bytes, int, int, int, int]) -> bytes:
-    """Rows for sensors ``[start, stop)`` as raw ``int32`` bytes.
+def _ring_rows_region(args: Tuple[bytes, int, int, int, int]) -> np.ndarray:
+    """Rows for sensors ``[start, stop)`` as an ``int32`` array.
 
     Pure function of the master secret — it re-derives each ring seed
     directly (no process-global caches, which a fork worker could not
-    share back anyway) and runs the exact reference sampler, so the row
-    bytes are identical no matter which process computed them.
+    share back anyway) and runs the batched sampler, whose rows equal
+    the reference sampler's, so the rows are identical no matter which
+    process computed them.
     """
     master_secret, pool_size, ring_size, start, stop = args
-    out = np.empty((stop - start, ring_size), dtype=np.int32)
-    for offset, sensor_id in enumerate(range(start, stop)):
-        seed = derive_key(master_secret, "ring-seed", sensor_id, length=16)
-        out[offset] = sample_distinct_indices(seed, pool_size, ring_size)
-    return out.tobytes()
+    seeds = [
+        derive_key(master_secret, "ring-seed", sensor_id, length=16)
+        for sensor_id in range(start, stop)
+    ]
+    return sample_distinct_rows(seeds, pool_size, ring_size)
 
 
 def _edge_keys_region(args: Tuple[int, int]) -> bytes:
@@ -144,25 +151,38 @@ class RingTable:
         self.pool_size = config.pool_size
         self.ring_size = config.ring_size
         if ring_indices_factory is None:
-            self.rows = self._seed_rows(master_secret, num_nodes - 1, config)
+            self.rows = self._seed_rows(master_secret, num_nodes - 1)
         else:
             self.rows = self._explicit_rows(ring_indices_factory, num_nodes - 1)
 
-    def _seed_rows(
-        self, master_secret: bytes, num_sensors: int, config: KeyConfig
-    ) -> np.ndarray:
+    def _seed_rows(self, master_secret: bytes, num_sensors: int) -> np.ndarray:
         if num_sensors <= 0:
             return np.empty((0, self.ring_size), dtype=np.int32)
         if ring_caches_fit(num_sensors):
             # Small deployment: go through the seed/selection caches so
-            # Monte-Carlo rebuilds of the same master secret still hit.
+            # Monte-Carlo rebuilds of the same master secret still hit;
+            # the misses are drawn in one batch.
             out = np.empty((num_sensors, self.ring_size), dtype=np.int32)
-            for sensor_id in range(1, num_sensors + 1):
-                seed = ring_seed(master_secret, sensor_id)
-                out[sensor_id - 1] = ring_indices_from_seed(seed, config)
+            seeds = [ring_seed(master_secret, s) for s in range(1, num_sensors + 1)]
+            keys = [(seed, self.pool_size, self.ring_size) for seed in seeds]
+            misses = []
+            for offset, key in enumerate(keys):
+                cached = _RING_SELECTIONS.get(key)
+                if cached is None:
+                    misses.append(offset)
+                else:
+                    out[offset] = cached
+            if misses:
+                drawn = sample_distinct_rows(
+                    [seeds[offset] for offset in misses], self.pool_size, self.ring_size
+                )
+                out[misses] = drawn
+                for offset, row in zip(misses, drawn.tolist()):
+                    _RING_SELECTIONS.put(keys[offset], tuple(row))
             return out
         # Large deployment: bypass the caches (every lookup would be a
-        # one-shot miss) and fan the derivation out over id regions.
+        # one-shot miss) and fan the derivation out over id regions.  A
+        # single region runs inline and its array is the table.
         shards = shard_count(num_sensors)
         parts = regions(num_sensors, shards)
         chunks = fork_map(
@@ -173,8 +193,7 @@ class RingTable:
             ],
             shards,
         )
-        flat = np.frombuffer(b"".join(chunks), dtype=np.int32)
-        return flat.reshape(num_sensors, self.ring_size).copy()
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def _explicit_rows(
         self, factory: Callable[[int], Sequence[int]], num_sensors: int

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +20,7 @@ from repro.crypto import (
     sample_distinct_indices,
     verify_mac,
 )
+from repro.crypto import prf
 from repro.crypto.hash import verify_chain_link
 from repro.crypto.nonce import NonceSource
 from repro.errors import CryptoError, MacVerificationError
@@ -177,6 +181,75 @@ class TestPrf:
     def test_sample_rejects_oversampling(self):
         with pytest.raises(CryptoError):
             sample_distinct_indices(b"s", 5, 6)
+
+    def test_sample_rejects_negative_count(self):
+        with pytest.raises(CryptoError):
+            sample_distinct_indices(b"s", 10, -1)
+
+
+def _cpython_rows(seeds, population, count):
+    """The contract itself: CPython's ``sample``, sorted, one seed a row."""
+    return [sorted(random.Random(seed).sample(range(population), count)) for seed in seeds]
+
+
+class TestSampleDistinctRows:
+    """``sample_distinct_rows`` against CPython's ``random.sample``.
+
+    Compared with the standard library directly, not with the repo's
+    single-seed wrapper, so a Python whose ``sample`` consumes its word
+    stream differently fails here instead of silently changing rings.
+    """
+
+    SEEDS = [derive_key(b"rows-parity", "ring-seed", i, length=16) for i in range(300)]
+
+    @pytest.mark.parametrize(
+        "population,count",
+        [
+            (200, 40),  # list branch (the small test config)
+            (50, 50),  # list branch, count == population
+            (30, 6),  # list branch, smallest count with a big-set table
+            (2_000, 60),  # set branch (the attacked bench config)
+            (16_384, 250),  # power of two: ~50% of draws rejected (bench config)
+            (4_095, 64),  # 2**12 - 1: almost no rejection
+            (2**20, 100),
+            (512, 8),
+            (300, 1),
+            (300, 0),
+            (2**31, 3),  # largest population int32 rows can hold
+        ],
+    )
+    def test_rows_equal_cpython_sample(self, population, count):
+        rows = prf.sample_distinct_rows(self.SEEDS, population, count)
+        assert rows.dtype == np.int32
+        assert rows.shape == (len(self.SEEDS), count)
+        assert rows.tolist() == _cpython_rows(self.SEEDS, population, count)
+
+    def test_short_window_falls_back_per_row(self, monkeypatch):
+        # A window of exactly ``count`` words: rows that hit a rejected or
+        # repeated draw run short and must come from the reference sampler.
+        fallbacks = []
+        reference = prf.sample_distinct_indices
+
+        def counting_reference(seed, population, count):
+            fallbacks.append(seed)
+            return reference(seed, population, count)
+
+        monkeypatch.setattr(prf, "_draw_window", lambda population, count: count)
+        monkeypatch.setattr(prf, "sample_distinct_indices", counting_reference)
+        rows = prf.sample_distinct_rows(self.SEEDS, 1_024, 4)
+        assert 0 < len(fallbacks) < len(self.SEEDS)
+        assert rows.tolist() == _cpython_rows(self.SEEDS, 1_024, 4)
+
+    def test_empty_seed_list(self):
+        rows = prf.sample_distinct_rows([], 16_384, 250)
+        assert rows.shape == (0, 250) and rows.dtype == np.int32
+
+    @pytest.mark.parametrize(
+        "population,count", [(10, -1), (5, 6), (2**31 + 1, 3)]
+    )
+    def test_rejects_bad_sizes(self, population, count):
+        with pytest.raises(CryptoError):
+            prf.sample_distinct_rows(self.SEEDS[:2], population, count)
 
 
 class TestNonceSource:

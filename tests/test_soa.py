@@ -242,6 +242,37 @@ class TestRingTable:
                 expected = shared[0] if shared else -1
             assert bulk[position] == expected
 
+    @staticmethod
+    def _reference_rows(secret, num_sensors, config):
+        return [
+            ring_indices_from_seed(ring_seed(secret, s, cache=False), config, cache=False)
+            for s in range(1, num_sensors + 1)
+        ]
+
+    def test_cached_rows_mix_hits_and_batched_misses(self):
+        # Set-branch config, so the misses take the batched word-stream path.
+        clear_caches()
+        config = small_test_config(pool_size=2_000, ring_size=60).keys
+        RingTable(self.SECRET, num_nodes=12, config=config)
+        before = cache_stats()["ring-selections"]
+        table = RingTable(self.SECRET, num_nodes=20, config=config)
+        after = cache_stats()["ring-selections"]
+        assert after["hits"] - before["hits"] == 11
+        assert after["misses"] - before["misses"] == 8
+        assert table.rows.tolist() == self._reference_rows(self.SECRET, 19, config)
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_large_table_matches_reference_sampler(self, monkeypatch, shards):
+        # Past the ring-cache bound the rows come from id regions: one
+        # inline region at REPRO_BUILD_SHARDS=1, two forked ones at 2.
+        monkeypatch.setenv("REPRO_BUILD_SHARDS", shards)
+        config = small_test_config(pool_size=512, ring_size=8).keys
+        num_sensors = 4_200
+        assert not ring_caches_fit(num_sensors)
+        table = RingTable(self.SECRET, num_nodes=num_sensors + 1, config=config)
+        assert table.rows.dtype == np.int32
+        assert table.rows.tolist() == self._reference_rows(self.SECRET, num_sensors, config)
+
     def _explicit(self, rows, ring_size=3):
         config = small_test_config(pool_size=10, ring_size=ring_size).keys
         return RingTable(
